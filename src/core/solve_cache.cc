@@ -6,148 +6,76 @@
 #include "core/solve_cache.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
 
 #include <sys/stat.h>
 
 #include "obs/build_info.hh"
-#include "obs/numfmt.hh"
 #include "obs/registry.hh"
 #include "util/atomic_file.hh"
 #include "util/hash.hh"
+#include "util/record.hh"
 
 namespace cactid {
 
 namespace {
 
-std::string
-num(double v)
-{
-    return obs::fmtDouble(v);
-}
+constexpr const char *kCacheHeader = "cactid-cache-v1";
 
-/** strtod on a whole token: locale-proof for fmtDouble output. */
-bool
-parseDouble(std::istringstream &ss, double &out)
-{
-    std::string tok;
-    if (!(ss >> tok))
-        return false;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end == tok.c_str() + tok.size();
-}
+// Each persisted struct's fields, listed once: the same template
+// writes them through a RecordWriter and reads them back through a
+// RecordReader (util/record.hh).  The order is the cactid-cache-v1
+// byte layout.
 
-bool
-parseU64(std::istringstream &ss, std::uint64_t &out)
-{
-    return static_cast<bool>(ss >> out);
-}
-
-bool
-parseInt(std::istringstream &ss, int &out)
-{
-    return static_cast<bool>(ss >> out);
-}
-
-bool
-parseBool(std::istringstream &ss, bool &out)
-{
-    int v = 0;
-    if (!(ss >> v) || (v != 0 && v != 1))
-        return false;
-    out = v != 0;
-    return true;
-}
-
+template <class Io, class B>
 void
-encodeBank(std::ostream &os, const BankMetrics &b)
+bankFields(Io &io, B &b)
 {
-    os << b.part.rowsPerSubarray << ' ' << b.part.colsPerSubarray
-       << ' ' << b.part.blMux << ' ' << b.part.samMux << ' '
-       << b.nMats << ' ' << b.gridX << ' ' << b.gridY << ' '
-       << b.nActiveMats << ' ' << num(b.width) << ' '
-       << num(b.height) << ' ' << num(b.area) << ' '
-       << num(b.areaEfficiency) << ' ' << num(b.accessTime) << ' '
-       << num(b.randomCycle) << ' ' << num(b.interleaveCycle) << ' '
-       << num(b.tRcd) << ' ' << num(b.tCas) << ' ' << num(b.tRp)
-       << ' ' << num(b.tRas) << ' ' << num(b.tRc) << ' '
-       << num(b.tRrd) << ' ' << num(b.readEnergy) << ' '
-       << num(b.writeEnergy) << ' ' << num(b.activateEnergy) << ' '
-       << num(b.readBurstEnergy) << ' ' << num(b.writeBurstEnergy)
-       << ' ' << num(b.leakage) << ' ' << num(b.refreshPower) << ' '
-       << (b.feasible ? 1 : 0);
+    io(b.part.rowsPerSubarray)(b.part.colsPerSubarray)(b.part.blMux)
+      (b.part.samMux)(b.nMats)(b.gridX)(b.gridY)(b.nActiveMats)
+      (b.width)(b.height)(b.area)(b.areaEfficiency)(b.accessTime)
+      (b.randomCycle)(b.interleaveCycle)(b.tRcd)(b.tCas)(b.tRp)
+      (b.tRas)(b.tRc)(b.tRrd)(b.readEnergy)(b.writeEnergy)
+      (b.activateEnergy)(b.readBurstEnergy)(b.writeBurstEnergy)
+      (b.leakage)(b.refreshPower)(b.feasible);
 }
 
-bool
-decodeBank(std::istringstream &ss, BankMetrics &b)
-{
-    return parseInt(ss, b.part.rowsPerSubarray) &&
-           parseInt(ss, b.part.colsPerSubarray) &&
-           parseInt(ss, b.part.blMux) && parseInt(ss, b.part.samMux) &&
-           parseInt(ss, b.nMats) && parseInt(ss, b.gridX) &&
-           parseInt(ss, b.gridY) && parseInt(ss, b.nActiveMats) &&
-           parseDouble(ss, b.width) && parseDouble(ss, b.height) &&
-           parseDouble(ss, b.area) &&
-           parseDouble(ss, b.areaEfficiency) &&
-           parseDouble(ss, b.accessTime) &&
-           parseDouble(ss, b.randomCycle) &&
-           parseDouble(ss, b.interleaveCycle) &&
-           parseDouble(ss, b.tRcd) && parseDouble(ss, b.tCas) &&
-           parseDouble(ss, b.tRp) && parseDouble(ss, b.tRas) &&
-           parseDouble(ss, b.tRc) && parseDouble(ss, b.tRrd) &&
-           parseDouble(ss, b.readEnergy) &&
-           parseDouble(ss, b.writeEnergy) &&
-           parseDouble(ss, b.activateEnergy) &&
-           parseDouble(ss, b.readBurstEnergy) &&
-           parseDouble(ss, b.writeBurstEnergy) &&
-           parseDouble(ss, b.leakage) &&
-           parseDouble(ss, b.refreshPower) &&
-           parseBool(ss, b.feasible);
-}
-
+template <class Io, class S>
 void
-encodeSolution(std::ostream &os, const Solution &s)
+solutionFields(Io &io, S &s)
 {
-    os << (s.hasTag ? 1 : 0) << ' ' << num(s.totalArea) << ' '
-       << num(s.bankArea) << ' ' << num(s.areaEfficiency) << ' '
-       << num(s.accessTime) << ' ' << num(s.randomCycle) << ' '
-       << num(s.interleaveCycle) << ' ' << num(s.readEnergy) << ' '
-       << num(s.writeEnergy) << ' ' << num(s.leakage) << ' '
-       << num(s.refreshPower) << ' ' << num(s.tRcd) << ' '
-       << num(s.tCas) << ' ' << num(s.tRp) << ' ' << num(s.tRas)
-       << ' ' << num(s.tRc) << ' ' << num(s.tRrd) << ' '
-       << num(s.activateEnergy) << ' ' << num(s.readBurstEnergy)
-       << ' ' << num(s.writeBurstEnergy) << ' ' << s.nSubbanks << ' '
-       << num(s.objective) << ' ';
-    encodeBank(os, s.data);
-    os << ' ';
-    encodeBank(os, s.tag);
+    io(s.hasTag)(s.totalArea)(s.bankArea)(s.areaEfficiency)
+      (s.accessTime)(s.randomCycle)(s.interleaveCycle)(s.readEnergy)
+      (s.writeEnergy)(s.leakage)(s.refreshPower)(s.tRcd)(s.tCas)
+      (s.tRp)(s.tRas)(s.tRc)(s.tRrd)(s.activateEnergy)
+      (s.readBurstEnergy)(s.writeBurstEnergy)(s.nSubbanks)
+      (s.objective);
+    bankFields(io, s.data);
+    bankFields(io, s.tag);
 }
 
-bool
-decodeSolution(const std::string &line, Solution &s)
+template <class Io, class S>
+void
+engineStatsFields(Io &io, S &st)
 {
-    std::istringstream ss(line);
-    return parseBool(ss, s.hasTag) && parseDouble(ss, s.totalArea) &&
-           parseDouble(ss, s.bankArea) &&
-           parseDouble(ss, s.areaEfficiency) &&
-           parseDouble(ss, s.accessTime) &&
-           parseDouble(ss, s.randomCycle) &&
-           parseDouble(ss, s.interleaveCycle) &&
-           parseDouble(ss, s.readEnergy) &&
-           parseDouble(ss, s.writeEnergy) &&
-           parseDouble(ss, s.leakage) &&
-           parseDouble(ss, s.refreshPower) && parseDouble(ss, s.tRcd) &&
-           parseDouble(ss, s.tCas) && parseDouble(ss, s.tRp) &&
-           parseDouble(ss, s.tRas) && parseDouble(ss, s.tRc) &&
-           parseDouble(ss, s.tRrd) &&
-           parseDouble(ss, s.activateEnergy) &&
-           parseDouble(ss, s.readBurstEnergy) &&
-           parseDouble(ss, s.writeBurstEnergy) &&
-           parseInt(ss, s.nSubbanks) && parseDouble(ss, s.objective) &&
-           decodeBank(ss, s.data) && decodeBank(ss, s.tag);
+    io(st.partitionsEnumerated)(st.partitionsInfeasible)
+      (st.solutionsBuilt)(st.areaPruned)(st.timePruned)
+      (st.peakLiveSolutions)(st.jobsUsed)(st.setupSeconds)
+      (st.evaluateSeconds)(st.filterSeconds)(st.totalSeconds);
+}
+
+/** A record's fields after its identity (build stamp, key) lines. */
+template <class Io, class R, class B>
+void
+resultFields(Io &io, R &res, B &has_all)
+{
+    io.line("hasall")(has_all);
+    engineStatsFields(io.line("stats"), res.stats);
+    solutionFields(io.line("best"), res.best);
+    const auto solution = [](auto &s_io, auto &s) {
+        solutionFields(s_io, s);
+    };
+    io.list("filtered", "s", res.filtered, solution);
+    io.list("all", "s", res.all, solution);
 }
 
 /** Approximate resident size of one cache entry. */
@@ -342,72 +270,12 @@ std::string
 SolveCache::encodeRecord(const std::string &key,
                          const SolveResult &res, bool has_all) const
 {
-    std::ostringstream os;
-    os << "cactid-cache-v1\n";
-    os << "build " << stamp_ << "\n";
-    os << "key " << key << "\n";
-    os << "hasall " << (has_all ? 1 : 0) << "\n";
-    const EngineStats &st = res.stats;
-    os << "stats " << st.partitionsEnumerated << ' '
-       << st.partitionsInfeasible << ' ' << st.solutionsBuilt << ' '
-       << st.areaPruned << ' ' << st.timePruned << ' '
-       << st.peakLiveSolutions << ' ' << st.jobsUsed << ' '
-       << num(st.setupSeconds) << ' ' << num(st.evaluateSeconds)
-       << ' ' << num(st.filterSeconds) << ' ' << num(st.totalSeconds)
-       << "\n";
-    os << "best ";
-    encodeSolution(os, res.best);
-    os << "\n";
-    os << "filtered " << res.filtered.size() << "\n";
-    for (const Solution &s : res.filtered) {
-        os << "s ";
-        encodeSolution(os, s);
-        os << "\n";
-    }
-    os << "all " << res.all.size() << "\n";
-    for (const Solution &s : res.all) {
-        os << "s ";
-        encodeSolution(os, s);
-        os << "\n";
-    }
-    std::string body = os.str();
-    body += "crc " + util::hex16(util::fnv1a64(body)) + "\n";
-    return body;
+    util::RecordWriter w(kCacheHeader);
+    w.text("build", stamp_);
+    w.text("key", key);
+    resultFields(w, res, has_all);
+    return w.finish();
 }
-
-namespace {
-
-/** Pull the `word rest-of-line` lines of a record apart. */
-class RecordReader
-{
-  public:
-    explicit RecordReader(const std::string &bytes) : ss_(bytes) {}
-
-    bool
-    next(std::string &line)
-    {
-        return static_cast<bool>(std::getline(ss_, line));
-    }
-
-    /** Expect a `key value` line; value is the rest of the line. */
-    bool
-    field(const char *key, std::string &value)
-    {
-        std::string line;
-        if (!next(line))
-            return false;
-        const std::string prefix = std::string(key) + " ";
-        if (line.compare(0, prefix.size(), prefix) != 0)
-            return false;
-        value = line.substr(prefix.size());
-        return true;
-    }
-
-  private:
-    std::istringstream ss_;
-};
-
-} // namespace
 
 SolveCache::Load
 SolveCache::decodeRecord(const std::string &bytes,
@@ -420,92 +288,21 @@ SolveCache::decodeRecord(const std::string &bytes,
             *why = reason;
         return Load::Rejected;
     };
-
-    // Integrity first, exactly like the checkpoint store: the record
-    // must end with a `crc` line whose FNV-1a matches everything
-    // before it.  A torn write or a flipped byte both fail here.
-    const std::size_t crc_pos = bytes.rfind("crc ");
-    if (crc_pos == std::string::npos ||
-        (crc_pos != 0 && bytes[crc_pos - 1] != '\n'))
-        return reject("missing crc trailer (torn record)");
-    const std::string_view tail =
-        std::string_view(bytes).substr(crc_pos);
-    if (tail.size() != 4 + 16 + 1 || tail.back() != '\n')
-        return reject("malformed crc trailer (torn record)");
-    const std::string crc_hex(tail.substr(4, 16));
-    if (crc_hex.find_first_not_of("0123456789abcdef") !=
-        std::string::npos)
-        return reject("malformed crc trailer (torn record)");
-    if (std::strtoull(crc_hex.c_str(), nullptr, 16) !=
-        util::fnv1a64(std::string_view(bytes).substr(0, crc_pos)))
-        return reject("crc mismatch (corrupt record)");
-
-    RecordReader rd(bytes);
-    std::string line, v;
-    if (!rd.next(line) || line != "cactid-cache-v1")
-        return reject("unrecognized version header");
-
-    if (!rd.field("build", v))
-        return reject("missing build stamp");
-    if (v != stamp_)
-        return reject("build fingerprint mismatch (record " + v +
+    util::RecordReader rd(bytes, kCacheHeader);
+    std::string stamp, rec_key;
+    rd.text("build", stamp);
+    if (rd.ok() && stamp != stamp_)
+        return reject("build fingerprint mismatch (record " + stamp +
                       ", binary " + stamp_ + ")");
-
-    std::string rec_key;
-    if (!rd.field("key", rec_key))
-        return reject("missing canonical key");
-    if (rec_key != key || keyFingerprint(rec_key) != fp)
+    rd.text("key", rec_key);
+    if (rd.ok() && (rec_key != key || keyFingerprint(rec_key) != fp))
         return reject("canonical key mismatch (alien record)");
-
     SolveResult res;
-    if (!rd.field("hasall", v) || (v != "0" && v != "1"))
-        return reject("malformed hasall field");
-    has_all = v == "1";
-
-    if (!rd.field("stats", v))
-        return reject("missing stats line");
-    {
-        std::istringstream ss(v);
-        EngineStats &st = res.stats;
-        std::uint64_t peak = 0;
-        const bool ok = parseU64(ss, st.partitionsEnumerated) &&
-                        parseU64(ss, st.partitionsInfeasible) &&
-                        parseU64(ss, st.solutionsBuilt) &&
-                        parseU64(ss, st.areaPruned) &&
-                        parseU64(ss, st.timePruned) &&
-                        parseU64(ss, peak) &&
-                        parseInt(ss, st.jobsUsed) &&
-                        parseDouble(ss, st.setupSeconds) &&
-                        parseDouble(ss, st.evaluateSeconds) &&
-                        parseDouble(ss, st.filterSeconds) &&
-                        parseDouble(ss, st.totalSeconds);
-        if (!ok)
-            return reject("malformed stats line");
-        st.peakLiveSolutions = static_cast<std::size_t>(peak);
-    }
-
-    if (!rd.field("best", v) || !decodeSolution(v, res.best))
-        return reject("malformed best solution");
-
-    const auto read_list = [&](const char *name,
-                               std::vector<Solution> &list) {
-        if (!rd.field(name, v))
-            return false;
-        const std::size_t n = std::strtoull(v.c_str(), nullptr, 10);
-        list.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            Solution s;
-            if (!rd.field("s", v) || !decodeSolution(v, s))
-                return false;
-            list.push_back(std::move(s));
-        }
-        return true;
-    };
-    if (!read_list("filtered", res.filtered))
-        return reject("malformed filtered solution list");
-    if (!read_list("all", res.all))
-        return reject("malformed all solution list");
-
+    bool all = false;
+    resultFields(rd, res, all);
+    if (!rd.finish())
+        return reject(rd.error());
+    has_all = all;
     out = std::move(res);
     return Load::Loaded;
 }

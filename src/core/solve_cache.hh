@@ -18,13 +18,13 @@
  * engine threads may hit one cache concurrently (TSan-tested).
  *
  * Durability: with `diskDir` set, every insert also writes one
- * `sc-<fingerprint>.v1` record ("cactid-cache-v1", written via the
- * shared atomic-file helper, crc-guarded) and a memory miss falls
- * back to the directory.  Records are stamped with the build
- * fingerprint of the binary that wrote them: a record written by a
- * different model build, a torn write, or an alien file is rejected
- * (engine.cache.rejected, one-line warning) and re-solved — stale
- * models never serve.
+ * `sc-<fingerprint>.v1` record ("cactid-cache-v1" in the checksummed
+ * framing of util/record.hh, written via the shared atomic-file
+ * helper) and a memory miss falls back to the directory.  Records are
+ * stamped with the build fingerprint of the binary that wrote them: a
+ * record written by a different model build, a torn write, or an
+ * alien file is rejected (engine.cache.rejected, one-line warning)
+ * and re-solved — stale models never serve.
  */
 
 #ifndef CACTID_CORE_SOLVE_CACHE_HH

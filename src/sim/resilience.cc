@@ -6,34 +6,103 @@
 #include "sim/resilience.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include <sys/stat.h>
 
-#include "obs/numfmt.hh"
 #include "sim/runner.hh"
 #include "util/atomic_file.hh"
 #include "util/hash.hh"
+#include "util/parse.hh"
+#include "util/record.hh"
 
 namespace archsim {
 
 namespace {
 
+/** v2 added the sparse-directory counters to the stats line. */
+constexpr const char *kCheckpointHeader = "cactid-ckpt-v2";
+
+/** Record key: hashes the sweep fingerprint with the run's identity. */
 std::string
-num(double v)
+recordKey(const std::string &fp, const std::string &config,
+          const std::string &workload)
 {
-    return cactid::obs::fmtDouble(v);
+    return cactid::util::hex16(
+        cactid::util::fnv1a64(fp + "|" + config + "|" + workload));
 }
 
-std::string
-hex16(std::uint64_t v)
+// Each persisted struct's fields, listed once: the same template
+// writes them through a RecordWriter and reads them back through a
+// RecordReader (util/record.hh).
+
+template <class Io, class S>
+void
+simStatsFields(Io &io, S &s)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
+    io(s.cycles)(s.instructions)(s.ipc)(s.avgReadLatency);
+    io(s.fInstruction)(s.fL2)(s.fL3)(s.fMemory)(s.fBarrier)(s.fLock);
+    io(s.hier.l1Reads)(s.hier.l1Writes)(s.hier.l2Reads)(s.hier.l2Writes)
+      (s.hier.l2Misses)(s.hier.xbarTransfers)(s.hier.c2cTransfers);
+    io(s.dram.activates)(s.dram.reads)(s.dram.writes)(s.dram.rowHits)
+      (s.dram.busBytes)(s.dram.powerDownEntries)(s.dram.powerDownCycles)
+      (s.dram.refreshes);
+    io(s.dirLive)(s.dirCapacity)(s.dirPeakLive)(s.dirEvictions)
+      (s.dirEvictionInvals)(s.dirOverflows)(s.dirDemotions)
+      (s.dirImplicitSparse);
+    io(s.memPoweredDownFraction)(s.llcReads)(s.llcWrites)(s.llcHits)
+      (s.llcMisses)(s.llcPageHits)(s.llcPageMisses);
+}
+
+template <class Io, class P>
+void
+powerFields(Io &io, P &b)
+{
+    io(b.l1Leak)(b.l1Dyn)(b.l2Leak)(b.l2Dyn)(b.xbarLeak)(b.xbarDyn)
+      (b.l3Leak)(b.l3Dyn)(b.l3Refresh)(b.mainDyn)(b.mainStandby)
+      (b.mainRefresh)(b.bus)(b.corePower)(b.execSeconds);
+}
+
+template <class Io, class T>
+void
+thermalFields(Io &io, T &t)
+{
+    io(t.maxTemp)(t.maxTempTopDie)(t.maxTempBottomDie);
+}
+
+template <class Io, class E>
+void
+epochFields(Io &io, E &e)
+{
+    io(e.index)(e.beginCycle)(e.endCycle)(e.instructions)(e.l1Reads)
+      (e.l1Writes)(e.l2Reads)(e.l2Writes)(e.l2Misses)(e.xbarTransfers)
+      (e.llcReads)(e.llcWrites)(e.llcHits)(e.llcMisses)
+      (e.dramActivates)(e.dramReads)(e.dramWrites)(e.dramRowHits)
+      (e.dramBusBytes)(e.poweredDownFraction)(e.ipc)(e.l2Mpki)
+      (e.l3Mpki)(e.dramBandwidthGBs)(e.memHierPowerW)(e.stackTempK);
+}
+
+template <class Io, class E>
+void
+errorFields(Io &io, E &e)
+{
+    io.text("error.phase", e.phase);
+    io.line("error.cycle")(e.cycle);
+    io.text("error.message", e.message);
+}
+
+/** A RunResult's fields after its identity lines. */
+template <class Io, class R>
+void
+runFields(Io &io, R &r)
+{
+    io.line("attempts")(r.attempts);
+    errorFields(io, r.error);
+    simStatsFields(io.line("stats"), r.stats);
+    powerFields(io.line("power"), r.power);
+    thermalFields(io.line("thermal"), r.thermal);
+    io.list("epochs", "e", r.epochs,
+            [](auto &e_io, auto &e) { epochFields(e_io, e); });
 }
 
 const char *
@@ -104,34 +173,26 @@ FaultPlan::parse(const std::string &spec)
         if (at == std::string::npos || at == 0)
             throw bad();
         FaultSpec f;
-        char *end = nullptr;
-        f.run = std::strtoull(item.c_str(), &end, 10);
-        if (end != item.c_str() + at)
+        if (!cactid::util::parseNumber(item.substr(0, at), f.run))
             throw bad();
 
         std::string rest = item.substr(at + 1);
         // Optional transient suffix `xN` (attempts that fail).
         const std::size_t x = rest.rfind('x');
+        int attempts = 0;
         if (x != std::string::npos && x > 0 &&
-            rest.find_first_not_of("0123456789", x + 1) ==
-                std::string::npos &&
-            x + 1 < rest.size()) {
-            f.failAttempts =
-                static_cast<int>(std::strtol(rest.c_str() + x + 1,
-                                             nullptr, 10));
-            if (f.failAttempts <= 0)
+            cactid::util::parseNumber(rest.substr(x + 1), attempts)) {
+            if (attempts <= 0)
                 throw bad();
+            f.failAttempts = attempts;
             rest = rest.substr(0, x);
         }
         // Optional `:CYCLE`.
         const std::size_t colon = rest.find(':');
         std::string site = rest.substr(0, colon);
-        if (colon != std::string::npos) {
-            const char *c = rest.c_str() + colon + 1;
-            f.cycle = std::strtoull(c, &end, 10);
-            if (end == c || *end != '\0')
-                throw bad();
-        }
+        if (colon != std::string::npos &&
+            !cactid::util::parseNumber(rest.substr(colon + 1), f.cycle))
+            throw bad();
         if (site == "solve") {
             f.site = FaultSite::Solve;
         } else if (site == "step") {
@@ -205,14 +266,6 @@ FaultPlan::canonical() const
     return out;
 }
 
-std::uint64_t
-fnv1a64(std::string_view data)
-{
-    // One shared implementation: checkpoint records and solve-cache
-    // records must keep hashing identically.
-    return cactid::util::fnv1a64(data);
-}
-
 std::string
 sweepFingerprint(std::uint64_t instr_per_thread, Cycle epoch_cycles,
                  bool exact_events, bool thermal, Cycle max_cycles)
@@ -245,80 +298,19 @@ std::string
 CheckpointStore::path(const std::string &config,
                       const std::string &workload) const
 {
-    const std::uint64_t key =
-        fnv1a64(fp_ + "|" + config + "|" + workload);
-    return dir_ + "/run-" + hex16(key) + ".ckpt";
+    return dir_ + "/run-" + recordKey(fp_, config, workload) + ".ckpt";
 }
 
 std::string
 CheckpointStore::encode(const RunResult &r) const
 {
-    const std::uint64_t key =
-        fnv1a64(fp_ + "|" + r.config + "|" + r.workload);
-    std::ostringstream os;
-    os << "cactid-ckpt-v1\n";
-    os << "key " << hex16(key) << "\n";
-    os << "config " << r.config << "\n";
-    os << "workload " << r.workload << "\n";
-    os << "status " << runStatusName(r.status) << "\n";
-    os << "attempts " << r.attempts << "\n";
-    os << "error.phase " << cactid::obs::jsonEscape(r.error.phase)
-       << "\n";
-    os << "error.cycle " << r.error.cycle << "\n";
-    os << "error.message "
-       << cactid::obs::jsonEscape(r.error.message) << "\n";
-
-    const SimStats &s = r.stats;
-    os << "stats " << s.cycles << ' ' << s.instructions << ' '
-       << num(s.ipc) << ' ' << num(s.avgReadLatency) << ' '
-       << num(s.fInstruction) << ' ' << num(s.fL2) << ' '
-       << num(s.fL3) << ' ' << num(s.fMemory) << ' '
-       << num(s.fBarrier) << ' ' << num(s.fLock) << ' '
-       << s.hier.l1Reads << ' ' << s.hier.l1Writes << ' '
-       << s.hier.l2Reads << ' ' << s.hier.l2Writes << ' '
-       << s.hier.l2Misses << ' ' << s.hier.xbarTransfers << ' '
-       << s.hier.c2cTransfers << ' ' << s.dram.activates << ' '
-       << s.dram.reads << ' ' << s.dram.writes << ' '
-       << s.dram.rowHits << ' ' << s.dram.busBytes << ' '
-       << s.dram.powerDownEntries << ' ' << s.dram.powerDownCycles
-       << ' ' << s.dram.refreshes << ' '
-       << num(s.memPoweredDownFraction) << ' ' << s.llcReads << ' '
-       << s.llcWrites << ' ' << s.llcHits << ' ' << s.llcMisses << ' '
-       << s.llcPageHits << ' ' << s.llcPageMisses << "\n";
-
-    const PowerBreakdown &b = r.power;
-    os << "power " << num(b.l1Leak) << ' ' << num(b.l1Dyn) << ' '
-       << num(b.l2Leak) << ' ' << num(b.l2Dyn) << ' '
-       << num(b.xbarLeak) << ' ' << num(b.xbarDyn) << ' '
-       << num(b.l3Leak) << ' ' << num(b.l3Dyn) << ' '
-       << num(b.l3Refresh) << ' ' << num(b.mainDyn) << ' '
-       << num(b.mainStandby) << ' ' << num(b.mainRefresh) << ' '
-       << num(b.bus) << ' ' << num(b.corePower) << ' '
-       << num(b.execSeconds) << "\n";
-
-    os << "thermal " << num(r.thermal.maxTemp) << ' '
-       << num(r.thermal.maxTempTopDie) << ' '
-       << num(r.thermal.maxTempBottomDie) << "\n";
-
-    os << "epochs " << r.epochs.size() << "\n";
-    for (const EpochSample &e : r.epochs) {
-        os << "e " << e.index << ' ' << e.beginCycle << ' '
-           << e.endCycle << ' ' << e.instructions << ' ' << e.l1Reads
-           << ' ' << e.l1Writes << ' ' << e.l2Reads << ' '
-           << e.l2Writes << ' ' << e.l2Misses << ' '
-           << e.xbarTransfers << ' ' << e.llcReads << ' '
-           << e.llcWrites << ' ' << e.llcHits << ' ' << e.llcMisses
-           << ' ' << e.dramActivates << ' ' << e.dramReads << ' '
-           << e.dramWrites << ' ' << e.dramRowHits << ' '
-           << e.dramBusBytes << ' ' << num(e.poweredDownFraction)
-           << ' ' << num(e.ipc) << ' ' << num(e.l2Mpki) << ' '
-           << num(e.l3Mpki) << ' ' << num(e.dramBandwidthGBs) << ' '
-           << num(e.memHierPowerW) << ' ' << num(e.stackTempK)
-           << "\n";
-    }
-    std::string body = os.str();
-    body += "crc " + hex16(fnv1a64(body)) + "\n";
-    return body;
+    cactid::util::RecordWriter w(kCheckpointHeader);
+    w.text("key", recordKey(fp_, r.config, r.workload));
+    w.text("config", r.config);
+    w.text("workload", r.workload);
+    w.text("status", runStatusName(r.status));
+    runFields(w, r);
+    return w.finish();
 }
 
 bool
@@ -328,267 +320,26 @@ CheckpointStore::save(const RunResult &r, std::string *err) const
                                          encode(r), err);
 }
 
-namespace {
-
-/** Pull the `word rest-of-line` lines of a record apart. */
-class RecordReader
-{
-  public:
-    explicit RecordReader(const std::string &bytes) : ss_(bytes) {}
-
-    /** Next line; false at end of record. */
-    bool
-    next(std::string &line)
-    {
-        return static_cast<bool>(std::getline(ss_, line));
-    }
-
-    /** Expect a `key value` line; value is the rest of the line. */
-    bool
-    field(const char *key, std::string &value)
-    {
-        std::string line;
-        if (!next(line))
-            return false;
-        const std::string prefix = std::string(key) + " ";
-        if (line.compare(0, prefix.size(), prefix) != 0) {
-            // `key` alone (empty value) is also accepted.
-            if (line == key) {
-                value.clear();
-                return true;
-            }
-            return false;
-        }
-        value = line.substr(prefix.size());
-        return true;
-    }
-
-  private:
-    std::istringstream ss_;
-};
-
-bool
-parseU64(std::istringstream &ss, std::uint64_t &out)
-{
-    return static_cast<bool>(ss >> out);
-}
-
-bool
-parseDouble(std::istringstream &ss, double &out)
-{
-    std::string tok;
-    if (!(ss >> tok))
-        return false;
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end == tok.c_str() + tok.size();
-}
-
-/** Undo jsonEscape for the subset it emits (\" \\ \n \r \t \uXXXX). */
-std::string
-unescape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        const char c = s[++i];
-        switch (c) {
-        case 'n':
-            out += '\n';
-            break;
-        case 'r':
-            out += '\r';
-            break;
-        case 't':
-            out += '\t';
-            break;
-        case 'u':
-            if (i + 4 < s.size()) {
-                out += static_cast<char>(
-                    std::strtol(s.substr(i + 1, 4).c_str(), nullptr,
-                                16));
-                i += 4;
-            }
-            break;
-        default:
-            out += c;
-            break;
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 CheckpointStore::Load
 CheckpointStore::decode(const std::string &bytes,
                         RunResult &out) const
 {
-    // Integrity first: the record must end with a `crc` line whose
-    // FNV-1a matches everything before it.  A torn write (partial
-    // payload, missing tail) or a flipped byte both fail here.
-    const std::size_t crc_pos = bytes.rfind("crc ");
-    if (crc_pos == std::string::npos ||
-        (crc_pos != 0 && bytes[crc_pos - 1] != '\n'))
-        return Load::Invalid;
-    // The crc must be the exact final line ("crc " + 16 hex + "\n"):
-    // a stripped newline or appended bytes are torn records too.
-    const std::string_view tail =
-        std::string_view(bytes).substr(crc_pos);
-    if (tail.size() != 4 + 16 + 1 || tail.back() != '\n')
-        return Load::Invalid;
-    const std::string crc_hex(tail.substr(4, 16));
-    if (crc_hex.find_first_not_of("0123456789abcdef") !=
-        std::string::npos)
-        return Load::Invalid;
-    if (std::strtoull(crc_hex.c_str(), nullptr, 16) !=
-        fnv1a64(std::string_view(bytes).substr(0, crc_pos)))
-        return Load::Invalid;
-
-    RecordReader rd(bytes);
-    std::string line, v;
-    if (!rd.next(line) || line != "cactid-ckpt-v1")
-        return Load::Invalid;
-
+    cactid::util::RecordReader rd(bytes, kCheckpointHeader);
     RunResult r;
-    std::string key_hex;
-    if (!rd.field("key", key_hex))
+    std::string key, status;
+    rd.text("key", key);
+    rd.text("config", r.config);
+    rd.text("workload", r.workload);
+    rd.text("status", status);
+    runFields(rd, r);
+    // Besides the framing, reject records keyed under different sweep
+    // options: the key covers the fingerprint, so a stale directory
+    // cannot leak runs simulated with, say, another instruction budget.
+    if (!rd.finish() || key != recordKey(fp_, r.config, r.workload) ||
+        !parseRunStatus(status, r.status) || r.attempts < 1)
         return Load::Invalid;
-    if (!rd.field("config", r.config) ||
-        !rd.field("workload", r.workload))
-        return Load::Invalid;
-    // Reject records keyed under different sweep options: the hash
-    // covers the fingerprint, so a stale directory cannot leak runs
-    // simulated with, say, a different instruction budget.
-    const std::uint64_t want =
-        fnv1a64(fp_ + "|" + r.config + "|" + r.workload);
-    if (std::strtoull(key_hex.c_str(), nullptr, 16) != want)
-        return Load::Invalid;
-
-    if (!rd.field("status", v) || !parseRunStatus(v, r.status))
-        return Load::Invalid;
-    if (!rd.field("attempts", v))
-        return Load::Invalid;
-    r.attempts = std::atoi(v.c_str());
-    if (r.attempts <= 0)
-        return Load::Invalid;
-    if (!rd.field("error.phase", v))
-        return Load::Invalid;
-    r.error.phase = unescape(v);
-    if (!rd.field("error.cycle", v))
-        return Load::Invalid;
-    r.error.cycle = std::strtoull(v.c_str(), nullptr, 10);
-    if (!rd.field("error.message", v))
-        return Load::Invalid;
-    r.error.message = unescape(v);
-
-    if (!rd.field("stats", v))
-        return Load::Invalid;
-    {
-        std::istringstream ss(v);
-        SimStats &s = r.stats;
-        HierCounters &h = s.hier;
-        DramCounters &d = s.dram;
-        const bool ok =
-            parseU64(ss, s.cycles) && parseU64(ss, s.instructions) &&
-            parseDouble(ss, s.ipc) &&
-            parseDouble(ss, s.avgReadLatency) &&
-            parseDouble(ss, s.fInstruction) &&
-            parseDouble(ss, s.fL2) && parseDouble(ss, s.fL3) &&
-            parseDouble(ss, s.fMemory) &&
-            parseDouble(ss, s.fBarrier) && parseDouble(ss, s.fLock) &&
-            parseU64(ss, h.l1Reads) && parseU64(ss, h.l1Writes) &&
-            parseU64(ss, h.l2Reads) && parseU64(ss, h.l2Writes) &&
-            parseU64(ss, h.l2Misses) &&
-            parseU64(ss, h.xbarTransfers) &&
-            parseU64(ss, h.c2cTransfers) &&
-            parseU64(ss, d.activates) && parseU64(ss, d.reads) &&
-            parseU64(ss, d.writes) && parseU64(ss, d.rowHits) &&
-            parseU64(ss, d.busBytes) &&
-            parseU64(ss, d.powerDownEntries) &&
-            parseU64(ss, d.powerDownCycles) &&
-            parseU64(ss, d.refreshes) &&
-            parseDouble(ss, s.memPoweredDownFraction) &&
-            parseU64(ss, s.llcReads) && parseU64(ss, s.llcWrites) &&
-            parseU64(ss, s.llcHits) && parseU64(ss, s.llcMisses) &&
-            parseU64(ss, s.llcPageHits) &&
-            parseU64(ss, s.llcPageMisses);
-        if (!ok)
-            return Load::Invalid;
-        s.config = r.config;
-        s.workload = r.workload;
-    }
-
-    if (!rd.field("power", v))
-        return Load::Invalid;
-    {
-        std::istringstream ss(v);
-        PowerBreakdown &b = r.power;
-        const bool ok =
-            parseDouble(ss, b.l1Leak) && parseDouble(ss, b.l1Dyn) &&
-            parseDouble(ss, b.l2Leak) && parseDouble(ss, b.l2Dyn) &&
-            parseDouble(ss, b.xbarLeak) &&
-            parseDouble(ss, b.xbarDyn) && parseDouble(ss, b.l3Leak) &&
-            parseDouble(ss, b.l3Dyn) && parseDouble(ss, b.l3Refresh) &&
-            parseDouble(ss, b.mainDyn) &&
-            parseDouble(ss, b.mainStandby) &&
-            parseDouble(ss, b.mainRefresh) && parseDouble(ss, b.bus) &&
-            parseDouble(ss, b.corePower) &&
-            parseDouble(ss, b.execSeconds);
-        if (!ok)
-            return Load::Invalid;
-    }
-
-    if (!rd.field("thermal", v))
-        return Load::Invalid;
-    {
-        std::istringstream ss(v);
-        const bool ok = parseDouble(ss, r.thermal.maxTemp) &&
-                        parseDouble(ss, r.thermal.maxTempTopDie) &&
-                        parseDouble(ss, r.thermal.maxTempBottomDie);
-        if (!ok)
-            return Load::Invalid;
-    }
-
-    if (!rd.field("epochs", v))
-        return Load::Invalid;
-    const std::size_t n_epochs = std::strtoull(v.c_str(), nullptr, 10);
-    r.epochs.reserve(n_epochs);
-    for (std::size_t i = 0; i < n_epochs; ++i) {
-        if (!rd.field("e", v))
-            return Load::Invalid;
-        std::istringstream ss(v);
-        EpochSample e;
-        std::uint64_t idx = 0;
-        const bool ok =
-            parseU64(ss, idx) && parseU64(ss, e.beginCycle) &&
-            parseU64(ss, e.endCycle) &&
-            parseU64(ss, e.instructions) && parseU64(ss, e.l1Reads) &&
-            parseU64(ss, e.l1Writes) && parseU64(ss, e.l2Reads) &&
-            parseU64(ss, e.l2Writes) && parseU64(ss, e.l2Misses) &&
-            parseU64(ss, e.xbarTransfers) &&
-            parseU64(ss, e.llcReads) && parseU64(ss, e.llcWrites) &&
-            parseU64(ss, e.llcHits) && parseU64(ss, e.llcMisses) &&
-            parseU64(ss, e.dramActivates) &&
-            parseU64(ss, e.dramReads) && parseU64(ss, e.dramWrites) &&
-            parseU64(ss, e.dramRowHits) &&
-            parseU64(ss, e.dramBusBytes) &&
-            parseDouble(ss, e.poweredDownFraction) &&
-            parseDouble(ss, e.ipc) && parseDouble(ss, e.l2Mpki) &&
-            parseDouble(ss, e.l3Mpki) &&
-            parseDouble(ss, e.dramBandwidthGBs) &&
-            parseDouble(ss, e.memHierPowerW) &&
-            parseDouble(ss, e.stackTempK);
-        if (!ok)
-            return Load::Invalid;
-        e.index = static_cast<int>(idx);
-        r.epochs.push_back(e);
-    }
-
+    r.stats.config = r.config;
+    r.stats.workload = r.workload;
     out = std::move(r);
     return Load::Loaded;
 }

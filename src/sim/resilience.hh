@@ -164,9 +164,6 @@ struct FaultPlan {
     std::string canonical() const;
 };
 
-/** FNV-1a 64-bit hash (checkpoint keys and record checksums). */
-std::uint64_t fnv1a64(std::string_view data);
-
 /**
  * Canonical fingerprint of the sweep-level options that determine a
  * run's results.  Two sweeps sharing this string (and the study) may
@@ -181,9 +178,9 @@ std::string sweepFingerprint(std::uint64_t instr_per_thread,
 /**
  * Per-run atomic checkpoint store: one `run-<hash>.ckpt` record per
  * completed run under a directory, written via the shared atomic
- * write helper (util/atomic_file.hh) and guarded by a trailing FNV
- * checksum, so a sweep killed mid-write never leaves a record a
- * later --resume would trust.
+ * write helper (util/atomic_file.hh) in the checksummed record
+ * framing (util/record.hh), so a sweep killed mid-write never leaves
+ * a record a later --resume would trust.
  */
 class CheckpointStore
 {
@@ -218,7 +215,7 @@ class CheckpointStore
     const std::string &dir() const { return dir_; }
     const std::string &fingerprint() const { return fp_; }
 
-    /** Serialize a record to the cactid-ckpt-v1 text format. */
+    /** Serialize a record to the cactid-ckpt-v2 text format. */
     std::string encode(const RunResult &r) const;
 
     /** Parse + validate a record; Load::Invalid on any defect. */

@@ -2,8 +2,8 @@
  * @file
  * Shared non-cryptographic hashing.
  *
- * FNV-1a is the repo's fingerprint primitive: checkpoint record keys
- * and checksums (sim/resilience.hh), solve-cache record checksums and
+ * FNV-1a is the repo's fingerprint primitive: record checksums
+ * (util/record.hh), checkpoint record keys (sim/resilience.hh) and
  * the canonical config fingerprint (core/fingerprint.hh) all reduce a
  * canonical byte string through it.  It lives in util so the core
  * library can fingerprint configs without depending on the simulator.

@@ -25,6 +25,7 @@
 #include "sim/resilience.hh"
 #include "sim/runner.hh"
 #include "util/atomic_file.hh"
+#include "util/hash.hh"
 
 using namespace archsim;
 
@@ -82,6 +83,194 @@ slurp(const std::string &path)
     std::ostringstream ss;
     ss << f.rdbuf();
     return ss.str();
+}
+
+/**
+ * A RunResult in which every persisted field holds its own value, and
+ * whose text needs escaping, so a field the checkpoint record drops,
+ * swaps or rounds cannot round-trip.
+ */
+RunResult
+distinctRun()
+{
+    std::uint64_t n = 0;
+    const auto u = [&n] { return ++n; };
+    const auto d = [&n] {
+        ++n;
+        return (n % 2 ? 1.0 : -1.0) * static_cast<double>(n) / 7.0;
+    };
+    RunResult r;
+    r.config = "nol3";
+    r.workload = "ft.B";
+    r.status = RunStatus::TimedOut;
+    r.attempts = static_cast<int>(u());
+    r.error = {"line one\nline \"two\"\t\\ \x01 \xc3\xa9", "sim \\ phase",
+               u()};
+    SimStats &s = r.stats;
+    s.config = r.config;
+    s.workload = r.workload;
+    for (std::uint64_t *f :
+         {&s.cycles, &s.instructions, &s.hier.l1Reads, &s.hier.l1Writes,
+          &s.hier.l2Reads, &s.hier.l2Writes, &s.hier.l2Misses,
+          &s.hier.xbarTransfers, &s.hier.c2cTransfers,
+          &s.dram.activates, &s.dram.reads, &s.dram.writes,
+          &s.dram.rowHits, &s.dram.busBytes, &s.dram.powerDownEntries,
+          &s.dram.powerDownCycles, &s.dram.refreshes, &s.dirLive,
+          &s.dirCapacity, &s.dirPeakLive, &s.dirEvictions,
+          &s.dirEvictionInvals, &s.dirOverflows, &s.dirDemotions,
+          &s.dirImplicitSparse, &s.llcReads, &s.llcWrites, &s.llcHits,
+          &s.llcMisses, &s.llcPageHits, &s.llcPageMisses})
+        *f = u();
+    for (double *f : {&s.ipc, &s.avgReadLatency, &s.fInstruction,
+                      &s.fL2, &s.fL3, &s.fMemory, &s.fBarrier, &s.fLock,
+                      &s.memPoweredDownFraction})
+        *f = d();
+    PowerBreakdown &b = r.power;
+    for (double *f : {&b.l1Leak, &b.l1Dyn, &b.l2Leak, &b.l2Dyn,
+                      &b.xbarLeak, &b.xbarDyn, &b.l3Leak, &b.l3Dyn,
+                      &b.l3Refresh, &b.mainDyn, &b.mainStandby,
+                      &b.mainRefresh, &b.bus, &b.corePower,
+                      &b.execSeconds})
+        *f = d();
+    r.thermal = {d(), d(), d()};
+    for (int k = 0; k < 3; ++k) {
+        EpochSample e;
+        e.index = static_cast<int>(u());
+        for (std::uint64_t *f :
+             {&e.beginCycle, &e.endCycle, &e.instructions, &e.l1Reads,
+              &e.l1Writes, &e.l2Reads, &e.l2Writes, &e.l2Misses,
+              &e.xbarTransfers, &e.llcReads, &e.llcWrites, &e.llcHits,
+              &e.llcMisses, &e.dramActivates, &e.dramReads,
+              &e.dramWrites, &e.dramRowHits, &e.dramBusBytes})
+            *f = u();
+        for (double *f : {&e.poweredDownFraction, &e.ipc, &e.l2Mpki,
+                          &e.l3Mpki, &e.dramBandwidthGBs,
+                          &e.memHierPowerW, &e.stackTempK})
+            *f = d();
+        r.epochs.push_back(e);
+    }
+    return r;
+}
+
+/** Every persisted RunResult field, compared exactly. */
+void
+expectSameRun(const RunResult &a, const RunResult &b)
+{
+    EXPECT_EQ(a.config, b.config);
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.attempts, b.attempts);
+    EXPECT_EQ(a.error.message, b.error.message);
+    EXPECT_EQ(a.error.phase, b.error.phase);
+    EXPECT_EQ(a.error.cycle, b.error.cycle);
+
+    const SimStats &s = a.stats, &t = b.stats;
+    EXPECT_EQ(s.config, t.config);
+    EXPECT_EQ(s.workload, t.workload);
+    EXPECT_EQ(s.cycles, t.cycles);
+    EXPECT_EQ(s.instructions, t.instructions);
+    EXPECT_EQ(s.ipc, t.ipc);
+    EXPECT_EQ(s.avgReadLatency, t.avgReadLatency);
+    EXPECT_EQ(s.fInstruction, t.fInstruction);
+    EXPECT_EQ(s.fL2, t.fL2);
+    EXPECT_EQ(s.fL3, t.fL3);
+    EXPECT_EQ(s.fMemory, t.fMemory);
+    EXPECT_EQ(s.fBarrier, t.fBarrier);
+    EXPECT_EQ(s.fLock, t.fLock);
+    EXPECT_EQ(s.hier.l1Reads, t.hier.l1Reads);
+    EXPECT_EQ(s.hier.l1Writes, t.hier.l1Writes);
+    EXPECT_EQ(s.hier.l2Reads, t.hier.l2Reads);
+    EXPECT_EQ(s.hier.l2Writes, t.hier.l2Writes);
+    EXPECT_EQ(s.hier.l2Misses, t.hier.l2Misses);
+    EXPECT_EQ(s.hier.xbarTransfers, t.hier.xbarTransfers);
+    EXPECT_EQ(s.hier.c2cTransfers, t.hier.c2cTransfers);
+    EXPECT_EQ(s.dram.activates, t.dram.activates);
+    EXPECT_EQ(s.dram.reads, t.dram.reads);
+    EXPECT_EQ(s.dram.writes, t.dram.writes);
+    EXPECT_EQ(s.dram.rowHits, t.dram.rowHits);
+    EXPECT_EQ(s.dram.busBytes, t.dram.busBytes);
+    EXPECT_EQ(s.dram.powerDownEntries, t.dram.powerDownEntries);
+    EXPECT_EQ(s.dram.powerDownCycles, t.dram.powerDownCycles);
+    EXPECT_EQ(s.dram.refreshes, t.dram.refreshes);
+    EXPECT_EQ(s.dirLive, t.dirLive);
+    EXPECT_EQ(s.dirCapacity, t.dirCapacity);
+    EXPECT_EQ(s.dirPeakLive, t.dirPeakLive);
+    EXPECT_EQ(s.dirEvictions, t.dirEvictions);
+    EXPECT_EQ(s.dirEvictionInvals, t.dirEvictionInvals);
+    EXPECT_EQ(s.dirOverflows, t.dirOverflows);
+    EXPECT_EQ(s.dirDemotions, t.dirDemotions);
+    EXPECT_EQ(s.dirImplicitSparse, t.dirImplicitSparse);
+    EXPECT_EQ(s.memPoweredDownFraction, t.memPoweredDownFraction);
+    EXPECT_EQ(s.llcReads, t.llcReads);
+    EXPECT_EQ(s.llcWrites, t.llcWrites);
+    EXPECT_EQ(s.llcHits, t.llcHits);
+    EXPECT_EQ(s.llcMisses, t.llcMisses);
+    EXPECT_EQ(s.llcPageHits, t.llcPageHits);
+    EXPECT_EQ(s.llcPageMisses, t.llcPageMisses);
+
+    const PowerBreakdown &p = a.power, &q = b.power;
+    EXPECT_EQ(p.l1Leak, q.l1Leak);
+    EXPECT_EQ(p.l1Dyn, q.l1Dyn);
+    EXPECT_EQ(p.l2Leak, q.l2Leak);
+    EXPECT_EQ(p.l2Dyn, q.l2Dyn);
+    EXPECT_EQ(p.xbarLeak, q.xbarLeak);
+    EXPECT_EQ(p.xbarDyn, q.xbarDyn);
+    EXPECT_EQ(p.l3Leak, q.l3Leak);
+    EXPECT_EQ(p.l3Dyn, q.l3Dyn);
+    EXPECT_EQ(p.l3Refresh, q.l3Refresh);
+    EXPECT_EQ(p.mainDyn, q.mainDyn);
+    EXPECT_EQ(p.mainStandby, q.mainStandby);
+    EXPECT_EQ(p.mainRefresh, q.mainRefresh);
+    EXPECT_EQ(p.bus, q.bus);
+    EXPECT_EQ(p.corePower, q.corePower);
+    EXPECT_EQ(p.execSeconds, q.execSeconds);
+
+    EXPECT_EQ(a.thermal.maxTemp, b.thermal.maxTemp);
+    EXPECT_EQ(a.thermal.maxTempTopDie, b.thermal.maxTempTopDie);
+    EXPECT_EQ(a.thermal.maxTempBottomDie, b.thermal.maxTempBottomDie);
+
+    ASSERT_EQ(a.epochs.size(), b.epochs.size());
+    for (std::size_t k = 0; k < a.epochs.size(); ++k) {
+        const EpochSample &e = a.epochs[k], &f = b.epochs[k];
+        EXPECT_EQ(e.index, f.index);
+        EXPECT_EQ(e.beginCycle, f.beginCycle);
+        EXPECT_EQ(e.endCycle, f.endCycle);
+        EXPECT_EQ(e.instructions, f.instructions);
+        EXPECT_EQ(e.l1Reads, f.l1Reads);
+        EXPECT_EQ(e.l1Writes, f.l1Writes);
+        EXPECT_EQ(e.l2Reads, f.l2Reads);
+        EXPECT_EQ(e.l2Writes, f.l2Writes);
+        EXPECT_EQ(e.l2Misses, f.l2Misses);
+        EXPECT_EQ(e.xbarTransfers, f.xbarTransfers);
+        EXPECT_EQ(e.llcReads, f.llcReads);
+        EXPECT_EQ(e.llcWrites, f.llcWrites);
+        EXPECT_EQ(e.llcHits, f.llcHits);
+        EXPECT_EQ(e.llcMisses, f.llcMisses);
+        EXPECT_EQ(e.dramActivates, f.dramActivates);
+        EXPECT_EQ(e.dramReads, f.dramReads);
+        EXPECT_EQ(e.dramWrites, f.dramWrites);
+        EXPECT_EQ(e.dramRowHits, f.dramRowHits);
+        EXPECT_EQ(e.dramBusBytes, f.dramBusBytes);
+        EXPECT_EQ(e.poweredDownFraction, f.poweredDownFraction);
+        EXPECT_EQ(e.ipc, f.ipc);
+        EXPECT_EQ(e.l2Mpki, f.l2Mpki);
+        EXPECT_EQ(e.l3Mpki, f.l3Mpki);
+        EXPECT_EQ(e.dramBandwidthGBs, f.dramBandwidthGBs);
+        EXPECT_EQ(e.memHierPowerW, f.memHierPowerW);
+        EXPECT_EQ(e.stackTempK, f.stackTempK);
+    }
+}
+
+/** @p bytes with line @p key replaced by @p line, crc recomputed. */
+std::string
+editLine(std::string bytes, const std::string &key,
+         const std::string &line)
+{
+    const std::size_t at = bytes.find("\n" + key + " ") + 1;
+    bytes.replace(at, bytes.find('\n', at) - at, line);
+    const std::string body = bytes.substr(0, bytes.rfind("crc "));
+    return body + "crc " +
+           cactid::util::hex16(cactid::util::fnv1a64(body)) + "\n";
 }
 
 } // namespace
@@ -188,6 +377,17 @@ TEST(FaultPlanTest, RejectsMalformedSpecs)
                  std::invalid_argument);
 }
 
+TEST(FaultPlanTest, NumbersMustBeWholeUnsignedDecimals)
+{
+    // strtoull used to skip spaces, accept '+' and wrap '-1'.
+    for (const char *spec :
+         {"-1@solve", " 1@solve", "+1@solve", "99999999999999999999@solve",
+          "1@step: 5", "1@step:-5", "1@step:5x", "1@step:5x-1"})
+        EXPECT_THROW(FaultPlan::parse(spec), std::invalid_argument)
+            << spec;
+    EXPECT_EQ(FaultPlan::parse("1@step:5x2").canonical(), "1@step:5x2");
+}
+
 TEST(FaultPlanTest, SeededPlansAreReproducible)
 {
     const FaultPlan a = FaultPlan::seeded(7, 48, 3);
@@ -234,6 +434,53 @@ TEST_F(ResilienceTest, CheckpointRoundTripIsExact)
         EXPECT_EQ(back.epochs[e].memHierPowerW,
                   r.epochs[e].memHierPowerW);
     }
+}
+
+TEST(ResilienceFormat, EveryFieldRoundTrips)
+{
+    const RunResult want = distinctRun();
+    const CheckpointStore store("unused", "fp-test");
+    const std::string bytes = store.encode(want);
+    EXPECT_EQ(bytes.rfind("cactid-ckpt-v2\n", 0), 0u);
+    RunResult out;
+    ASSERT_EQ(store.decode(bytes, out), CheckpointStore::Load::Loaded);
+    expectSameRun(out, want);
+    EXPECT_EQ(store.encode(out), bytes);
+}
+
+TEST(ResilienceFormat, HostileRecordsAreInvalidNotFatal)
+{
+    const CheckpointStore store("unused", "fp-test");
+    const std::string good = store.encode(distinctRun());
+    RunResult out;
+    ASSERT_EQ(store.decode(good, out), CheckpointStore::Load::Loaded);
+
+    // Each record below carries a valid crc: only the reader's own
+    // checks stand between it and the sweep.
+    for (const auto &[key, line] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"epochs", "epochs 1152921504606846976"},
+             {"epochs", "epochs 4"},
+             {"attempts", "attempts 1x"},
+             {"attempts", "attempts 0"},
+             {"attempts", "attempts 99999999999"},
+             {"error.cycle", "error.cycle 12abc"},
+             {"error.cycle", "error.cycle -1"},
+             {"status", "status exploded"},
+             {"key", "key 0000000000000000"},
+             {"stats", "stats 1 2 3"}}) {
+        EXPECT_EQ(store.decode(editLine(good, key, line), out),
+                  CheckpointStore::Load::Invalid)
+            << line;
+    }
+    // A v1 record (no sparse-directory counters) re-runs like any
+    // alien record.
+    std::string v1 = good;
+    v1.replace(0, std::string("cactid-ckpt-v2").size(), "cactid-ckpt-v1");
+    const std::string body = v1.substr(0, v1.rfind("crc "));
+    v1 = body + "crc " +
+         cactid::util::hex16(cactid::util::fnv1a64(body)) + "\n";
+    EXPECT_EQ(store.decode(v1, out), CheckpointStore::Load::Invalid);
 }
 
 TEST_F(ResilienceTest, CheckpointPersistsFailureRecords)
@@ -500,4 +747,54 @@ TEST_F(ResilienceTest, ResumedSweepIsByteIdenticalToUninterrupted)
     const std::string clean = sweepJson(*study_, smallSweep(2));
     EXPECT_EQ(resumed, clean);
     EXPECT_NE(resumed.find("cactid-study-v1"), std::string::npos);
+}
+
+TEST_F(ResilienceTest, ResumedManyCoreRegistryMatchesUninterrupted)
+{
+    // Past 16 cores the run uses the sparse directory, whose sim.dir.*
+    // counters must survive the checkpoint like every other stat.
+    const auto options = [] {
+        RunnerOptions o;
+        o.jobs = 1;
+        o.instrPerThread = 2000;
+        o.nCores = 32;
+        o.threadsPerCore = 1;
+        o.configs = {"nol3"};
+        o.workloads = {"ft.B"};
+        return o;
+    };
+    const auto registry = [](const StudyRunner &runner) {
+        std::ostringstream os;
+        exportRegistry(os, runner.runAll(), runner);
+        return os.str();
+    };
+    const std::string dir = tempDir("ckpt_manycore");
+    const CheckpointStore store(
+        dir, StudyRunner(*study_, options()).fingerprint());
+    std::string err;
+    ASSERT_TRUE(store.ensureDir(&err)) << err;
+
+    RunnerOptions first = options();
+    first.onRunComplete = [&store](std::size_t, const RunResult &r) {
+        std::string save_err;
+        ASSERT_TRUE(store.save(r, &save_err)) << save_err;
+    };
+    const std::string clean = registry(StudyRunner(*study_, first));
+    EXPECT_NE(clean.find("\"sim.dir.capacity\": 65536"),
+              std::string::npos);
+
+    RunnerOptions second = options();
+    std::atomic<int> executed{0};
+    second.tweakHierarchy = [&executed](const std::string &,
+                                        HierarchyParams &) {
+        ++executed;
+    };
+    second.reuseRun = [&store](std::size_t, const std::string &config,
+                               const std::string &workload,
+                               RunResult &out) {
+        return store.load(config, workload, out) ==
+               CheckpointStore::Load::Loaded;
+    };
+    EXPECT_EQ(registry(StudyRunner(*study_, second)), clean);
+    EXPECT_EQ(executed.load(), 0);
 }

@@ -20,6 +20,7 @@
 #include "core/solve_cache.hh"
 #include "obs/registry.hh"
 #include "util/atomic_file.hh"
+#include "util/hash.hh"
 
 namespace {
 
@@ -107,6 +108,171 @@ expectIdenticalResult(const SolveResult &a, const SolveResult &b)
     EXPECT_EQ(a.stats.partitionsEnumerated,
               b.stats.partitionsEnumerated);
     EXPECT_EQ(a.stats.solutionsBuilt, b.stats.solutionsBuilt);
+}
+
+/** Every persisted BankMetrics field, compared exactly. */
+void
+expectSameBank(const BankMetrics &a, const BankMetrics &b)
+{
+    EXPECT_EQ(a.part.rowsPerSubarray, b.part.rowsPerSubarray);
+    EXPECT_EQ(a.part.colsPerSubarray, b.part.colsPerSubarray);
+    EXPECT_EQ(a.part.blMux, b.part.blMux);
+    EXPECT_EQ(a.part.samMux, b.part.samMux);
+    EXPECT_EQ(a.nMats, b.nMats);
+    EXPECT_EQ(a.gridX, b.gridX);
+    EXPECT_EQ(a.gridY, b.gridY);
+    EXPECT_EQ(a.nActiveMats, b.nActiveMats);
+    EXPECT_EQ(a.width, b.width);
+    EXPECT_EQ(a.height, b.height);
+    EXPECT_EQ(a.area, b.area);
+    EXPECT_EQ(a.areaEfficiency, b.areaEfficiency);
+    EXPECT_EQ(a.accessTime, b.accessTime);
+    EXPECT_EQ(a.randomCycle, b.randomCycle);
+    EXPECT_EQ(a.interleaveCycle, b.interleaveCycle);
+    EXPECT_EQ(a.tRcd, b.tRcd);
+    EXPECT_EQ(a.tCas, b.tCas);
+    EXPECT_EQ(a.tRp, b.tRp);
+    EXPECT_EQ(a.tRas, b.tRas);
+    EXPECT_EQ(a.tRc, b.tRc);
+    EXPECT_EQ(a.tRrd, b.tRrd);
+    EXPECT_EQ(a.readEnergy, b.readEnergy);
+    EXPECT_EQ(a.writeEnergy, b.writeEnergy);
+    EXPECT_EQ(a.activateEnergy, b.activateEnergy);
+    EXPECT_EQ(a.readBurstEnergy, b.readBurstEnergy);
+    EXPECT_EQ(a.writeBurstEnergy, b.writeBurstEnergy);
+    EXPECT_EQ(a.leakage, b.leakage);
+    EXPECT_EQ(a.refreshPower, b.refreshPower);
+    EXPECT_EQ(a.feasible, b.feasible);
+}
+
+/** Every persisted Solution field, both banks included. */
+void
+expectSameSolution(const Solution &a, const Solution &b)
+{
+    expectSameBank(a.data, b.data);
+    expectSameBank(a.tag, b.tag);
+    EXPECT_EQ(a.hasTag, b.hasTag);
+    EXPECT_EQ(a.totalArea, b.totalArea);
+    EXPECT_EQ(a.bankArea, b.bankArea);
+    EXPECT_EQ(a.areaEfficiency, b.areaEfficiency);
+    EXPECT_EQ(a.accessTime, b.accessTime);
+    EXPECT_EQ(a.randomCycle, b.randomCycle);
+    EXPECT_EQ(a.interleaveCycle, b.interleaveCycle);
+    EXPECT_EQ(a.readEnergy, b.readEnergy);
+    EXPECT_EQ(a.writeEnergy, b.writeEnergy);
+    EXPECT_EQ(a.leakage, b.leakage);
+    EXPECT_EQ(a.refreshPower, b.refreshPower);
+    EXPECT_EQ(a.tRcd, b.tRcd);
+    EXPECT_EQ(a.tCas, b.tCas);
+    EXPECT_EQ(a.tRp, b.tRp);
+    EXPECT_EQ(a.tRas, b.tRas);
+    EXPECT_EQ(a.tRc, b.tRc);
+    EXPECT_EQ(a.tRrd, b.tRrd);
+    EXPECT_EQ(a.activateEnergy, b.activateEnergy);
+    EXPECT_EQ(a.readBurstEnergy, b.readBurstEnergy);
+    EXPECT_EQ(a.writeBurstEnergy, b.writeBurstEnergy);
+    EXPECT_EQ(a.nSubbanks, b.nSubbanks);
+    EXPECT_EQ(a.objective, b.objective);
+}
+
+/** Every persisted SolveResult field: lists, solutions and stats. */
+void
+expectSameResult(const SolveResult &a, const SolveResult &b)
+{
+    expectSameSolution(a.best, b.best);
+    ASSERT_EQ(a.filtered.size(), b.filtered.size());
+    for (std::size_t i = 0; i < a.filtered.size(); ++i)
+        expectSameSolution(a.filtered[i], b.filtered[i]);
+    ASSERT_EQ(a.all.size(), b.all.size());
+    for (std::size_t i = 0; i < a.all.size(); ++i)
+        expectSameSolution(a.all[i], b.all[i]);
+    const EngineStats &x = a.stats, &y = b.stats;
+    EXPECT_EQ(x.partitionsEnumerated, y.partitionsEnumerated);
+    EXPECT_EQ(x.partitionsInfeasible, y.partitionsInfeasible);
+    EXPECT_EQ(x.solutionsBuilt, y.solutionsBuilt);
+    EXPECT_EQ(x.areaPruned, y.areaPruned);
+    EXPECT_EQ(x.timePruned, y.timePruned);
+    EXPECT_EQ(x.peakLiveSolutions, y.peakLiveSolutions);
+    EXPECT_EQ(x.jobsUsed, y.jobsUsed);
+    EXPECT_EQ(x.setupSeconds, y.setupSeconds);
+    EXPECT_EQ(x.evaluateSeconds, y.evaluateSeconds);
+    EXPECT_EQ(x.filterSeconds, y.filterSeconds);
+    EXPECT_EQ(x.totalSeconds, y.totalSeconds);
+}
+
+/**
+ * A SolveResult in which every persisted field holds its own value
+ * (bools alternate), so a field the cache record drops, swaps or
+ * rounds cannot round-trip.  Pinned: tests/data/cache_v1_all_fields.rec
+ * holds the record the cactid-cache-v1 encoder writes for it.
+ */
+SolveResult
+distinctResult()
+{
+    int n = 0;
+    const auto i = [&n] { return ++n; };
+    const auto d = [&n] {
+        ++n;
+        return (n % 2 ? n : -n) / 7.0 * 1e-9;
+    };
+    const auto bank = [&](BankMetrics &b) {
+        b.part = {i(), i(), i(), i()};
+        b.nMats = i();
+        b.gridX = i();
+        b.gridY = i();
+        b.nActiveMats = i();
+        for (double *f : {&b.width, &b.height, &b.area, &b.areaEfficiency,
+                          &b.accessTime, &b.randomCycle,
+                          &b.interleaveCycle, &b.tRcd, &b.tCas, &b.tRp,
+                          &b.tRas, &b.tRc, &b.tRrd, &b.readEnergy,
+                          &b.writeEnergy, &b.activateEnergy,
+                          &b.readBurstEnergy, &b.writeBurstEnergy,
+                          &b.leakage, &b.refreshPower})
+            *f = d();
+        b.feasible = i() % 2 == 0;
+    };
+    const auto solution = [&] {
+        Solution s;
+        s.hasTag = i() % 2 == 0;
+        for (double *f :
+             {&s.totalArea, &s.bankArea, &s.areaEfficiency, &s.accessTime,
+              &s.randomCycle, &s.interleaveCycle, &s.readEnergy,
+              &s.writeEnergy, &s.leakage, &s.refreshPower, &s.tRcd,
+              &s.tCas, &s.tRp, &s.tRas, &s.tRc, &s.tRrd,
+              &s.activateEnergy, &s.readBurstEnergy,
+              &s.writeBurstEnergy})
+            *f = d();
+        s.nSubbanks = i();
+        s.objective = d();
+        bank(s.data);
+        bank(s.tag);
+        return s;
+    };
+    SolveResult r;
+    r.best = solution();
+    r.filtered = {solution(), solution()};
+    r.all = {solution(), solution(), solution()};
+    EngineStats &st = r.stats;
+    st.partitionsEnumerated = i();
+    st.partitionsInfeasible = i();
+    st.solutionsBuilt = i();
+    st.areaPruned = i();
+    st.timePruned = i();
+    st.peakLiveSolutions = i();
+    st.jobsUsed = i();
+    st.setupSeconds = d();
+    st.evaluateSeconds = d();
+    st.filterSeconds = d();
+    st.totalSeconds = d();
+    return r;
+}
+
+/** @p bytes with its crc trailer recomputed over the (edited) body. */
+std::string
+resealed(const std::string &bytes)
+{
+    const std::string body = bytes.substr(0, bytes.rfind("crc "));
+    return body + "crc " + util::hex16(util::fnv1a64(body)) + "\n";
 }
 
 std::string
@@ -523,6 +689,94 @@ TEST(SolveCacheDisk, DecodeRecordReportsDefects)
                                  has_all, &why),
               SolveCache::Load::Rejected);
     EXPECT_FALSE(why.empty());
+}
+
+TEST(SolveCacheDisk, HostileListCountIsRejectedAndResolved)
+{
+    const DiskFixture fx("sc_hostile");
+    std::string path;
+    {
+        SolveCache writer(fx.config("stamp-a"));
+        writer.insert(fx.fp, fx.key, fx.res, true);
+        path = writer.recordPath(fx.fp);
+    }
+    // A record whose crc is valid but whose list count is absurd:
+    // rejected like any bad record, never an allocation failure.
+    std::string bytes, err;
+    ASSERT_TRUE(util::readFile(path, bytes, &err));
+    const std::size_t at = bytes.find("\nfiltered ") + 1;
+    const std::size_t eol = bytes.find('\n', at);
+    bytes.replace(at, eol - at, "filtered 1152921504606846976");
+    ASSERT_TRUE(util::writeFileAtomic(path, resealed(bytes), &err));
+
+    std::vector<std::string> warnings;
+    SolveCacheConfig cc = fx.config("stamp-a");
+    cc.onWarn = [&](const std::string &msg) {
+        warnings.push_back(msg);
+    };
+    SolveCache reader(cc);
+    SolverOptions opts;
+    opts.cache = &reader;
+    const SolveResult res = SolverEngine(opts).run(fx.cfg);
+    expectIdenticalResult(res, fx.res);
+    const SolveCacheCounters c = reader.counters();
+    EXPECT_EQ(c.rejected, 1u);
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.inserts, 1u); // re-solved and re-persisted
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_NE(warnings[0].find("exceeds"), std::string::npos)
+        << warnings[0];
+}
+
+// --- Record format pins ----------------------------------------------
+
+const char *const kFixtureKey = "cactid-config-v1|fixture=all-fields";
+
+TEST(SolveCacheFormat, EveryFieldRoundTrips)
+{
+    SolveCacheConfig cc;
+    cc.buildStamp = "fixture-stamp";
+    const SolveCache cache(cc);
+    const SolveResult want = distinctResult();
+    for (const bool has_all : {true, false}) {
+        SolveResult out;
+        bool got_all = !has_all;
+        std::string why;
+        ASSERT_EQ(cache.decodeRecord(
+                      cache.encodeRecord(kFixtureKey, want, has_all),
+                      keyFingerprint(kFixtureKey), kFixtureKey, out,
+                      got_all, &why),
+                  SolveCache::Load::Loaded)
+            << why;
+        EXPECT_EQ(got_all, has_all);
+        expectSameResult(out, want);
+    }
+}
+
+TEST(SolveCacheFormat, PinnedV1RecordLoadsAndReencodesIdentically)
+{
+    // Written by the cactid-cache-v1 encoder before the record codec
+    // was shared with the checkpoint store; the format must not move.
+    std::string pinned, err;
+    ASSERT_TRUE(util::readFile(
+        std::string(CACTID_TEST_DATA_DIR) + "/cache_v1_all_fields.rec",
+        pinned, &err))
+        << err;
+    SolveCacheConfig cc;
+    cc.buildStamp = "fixture-stamp";
+    const SolveCache cache(cc);
+    SolveResult out;
+    bool has_all = false;
+    std::string why;
+    ASSERT_EQ(cache.decodeRecord(pinned, keyFingerprint(kFixtureKey),
+                                 kFixtureKey, out, has_all, &why),
+              SolveCache::Load::Loaded)
+        << why;
+    EXPECT_TRUE(has_all);
+    expectSameResult(out, distinctResult());
+    EXPECT_EQ(cache.encodeRecord(kFixtureKey, out, has_all), pinned);
+    EXPECT_EQ(cache.encodeRecord(kFixtureKey, distinctResult(), true),
+              pinned);
 }
 
 // --- Registry + global install --------------------------------------

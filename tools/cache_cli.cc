@@ -6,6 +6,7 @@
 #include "tools/cache_cli.hh"
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/solve_cache.hh"
 
@@ -15,28 +16,21 @@ namespace {
 std::unique_ptr<SolveCache> g_installed;
 } // namespace
 
-bool
-installSolveCache(const std::string &mode, const std::string &dir,
-                  std::string *err)
+void
+installSolveCache(const std::string &mode, const std::string &dir)
 {
-    if (mode != "" && mode != "on" && mode != "off") {
-        if (err)
-            *err = "--cache must be on or off (got " + mode + ")";
-        return false;
+    if (mode != "" && mode != "on" && mode != "off")
+        throw std::invalid_argument("--cache must be on or off (got " +
+                                    mode + ")");
+    if (mode == "off" && !dir.empty())
+        throw std::invalid_argument(
+            "--cache off cannot be combined with --cache-dir");
+    if (mode == "on" || (mode == "" && !dir.empty())) {
+        SolveCacheConfig cfg;
+        cfg.diskDir = dir;
+        g_installed = std::make_unique<SolveCache>(std::move(cfg));
+        setGlobalSolveCache(g_installed.get());
     }
-    if (mode == "off" && !dir.empty()) {
-        if (err)
-            *err = "--cache off cannot be combined with --cache-dir";
-        return false;
-    }
-    const bool enabled = mode == "on" || (mode == "" && !dir.empty());
-    if (!enabled)
-        return true; // default: no cache, exactly as before
-    SolveCacheConfig cfg;
-    cfg.diskDir = dir;
-    g_installed = std::make_unique<SolveCache>(std::move(cfg));
-    setGlobalSolveCache(g_installed.get());
-    return true;
 }
 
 SolveCache *

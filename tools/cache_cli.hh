@@ -35,11 +35,10 @@ namespace cactid::tools {
  *
  * @param mode "" (on iff @p dir non-empty), "on", or "off"
  * @param dir  on-disk record directory ("" = in-memory only)
- * @param err  receives a one-line diagnostic on a bad mode
- * @return false on an invalid mode (or "off" combined with a dir)
+ * @throws std::invalid_argument (one line) on an invalid mode or "off"
+ *         combined with a dir, a usage error to the tools
  */
-bool installSolveCache(const std::string &mode, const std::string &dir,
-                       std::string *err);
+void installSolveCache(const std::string &mode, const std::string &dir);
 
 /** The cache installed by installSolveCache (nullptr when off). */
 SolveCache *installedSolveCache();

@@ -4,30 +4,14 @@
  * from a config file (or stdin) and print the chosen organization, a
  * CSV of the filtered solution space, or a capacity sweep.
  *
- * Usage:
- *   cactid <config-file>                solve and print a report
- *   cactid <config-file> --csv          CSV of the filtered solutions
- *   cactid <config-file> --sweep 1M,2M,4M
- *                                       re-solve per capacity, table out
- *   cactid <config-file> --jobs 8       solver worker threads
- *   cactid <config-file> --stats        engine instrumentation report
- *   cactid <config-file> --trace FILE   profiling spans as Chrome trace
- *   cactid <config-file> --profile      span summary on stderr
- *   cactid <config-file> --registry FILE  solver counters (obs-v1)
- *   cactid <config-file> --cache on|off   memoize solves (default off)
- *   cactid <config-file> --cache-dir DIR  persist the cache on disk
- *   cactid --version
- *   cactid --help
+ * printHelp() (`--help`) lists every flag.
  *
  * Exit codes: 0 success; 2 usage or configuration error; 3 internal
  * error (unexpected exception, failed output write).
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -40,10 +24,14 @@
 #include "obs/trace.hh"
 #include "core/solve_cache.hh"
 #include "tools/cache_cli.hh"
+#include "tools/cli.hh"
 #include "tools/config_parser.hh"
-#include "util/atomic_file.hh"
 
 namespace {
+
+using cactid::tools::withStream;
+
+constexpr const char *kTool = "cactid";
 
 void
 printHelp()
@@ -152,103 +140,39 @@ CliArgs
 parseArgs(int argc, char **argv)
 {
     CliArgs a;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
+    cactid::tools::ArgReader f(kTool, argc, argv);
+    while (f.next()) {
+        if (f.is("--help") || f.is("-h"))
             a.help = true;
-        } else if (std::strcmp(arg, "--version") == 0) {
+        else if (f.is("--version"))
             a.version = true;
-        } else if (std::strcmp(arg, "--csv") == 0) {
+        else if (f.is("--csv"))
             a.csv = true;
-        } else if (std::strcmp(arg, "--stats") == 0) {
+        else if (f.is("--stats"))
             a.stats = true;
-        } else if (std::strcmp(arg, "--profile") == 0) {
+        else if (f.is("--profile"))
             a.profile = true;
-        } else if (std::strcmp(arg, "--trace") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "cactid: --trace needs a path\n");
-                a.ok = false;
-                return a;
-            }
-            a.tracePath = argv[++i];
-        } else if (std::strcmp(arg, "--registry") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "cactid: --registry needs a path\n");
-                a.ok = false;
-                return a;
-            }
-            a.registryPath = argv[++i];
-        } else if (std::strcmp(arg, "--cache") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "cactid: --cache needs on or off\n");
-                a.ok = false;
-                return a;
-            }
-            a.cacheMode = argv[++i];
-        } else if (std::strcmp(arg, "--cache-dir") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "cactid: --cache-dir needs a path\n");
-                a.ok = false;
-                return a;
-            }
-            a.cacheDir = argv[++i];
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "cactid: --jobs needs a value\n");
-                a.ok = false;
-                return a;
-            }
-            a.jobs = std::atoi(argv[++i]);
-        } else if (std::strcmp(arg, "--sweep") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "cactid: --sweep needs a list\n");
-                a.ok = false;
-                return a;
-            }
-            a.sweep = argv[++i];
-        } else if (arg[0] == '-' && std::strcmp(arg, "-") != 0) {
-            std::fprintf(stderr, "cactid: unknown flag %s\n", arg);
-            a.ok = false;
-            return a;
-        } else if (a.configPath.empty()) {
-            a.configPath = arg;
-        } else {
-            std::fprintf(stderr, "cactid: extra argument %s\n", arg);
-            a.ok = false;
-            return a;
-        }
+        else if (f.is("--trace"))
+            f.text(a.tracePath);
+        else if (f.is("--registry"))
+            f.text(a.registryPath);
+        else if (f.is("--cache"))
+            f.text(a.cacheMode);
+        else if (f.is("--cache-dir"))
+            f.text(a.cacheDir);
+        else if (f.is("--jobs"))
+            f.number(a.jobs);
+        else if (f.is("--sweep"))
+            f.text(a.sweep);
+        else if (f.arg()[0] == '-' && !f.is("-"))
+            f.fail(std::string("unknown flag ") + f.arg());
+        else if (a.configPath.empty())
+            a.configPath = f.arg();
+        else
+            f.fail(std::string("extra argument ") + f.arg());
     }
+    a.ok = f.ok();
     return a;
-}
-
-/**
- * Write to FILE (atomically, via the shared tmp + fsync + rename
- * helper), or to stdout when the path is "-".  Stream failures are
- * reported, not swallowed.
- */
-bool
-withStream(const std::string &path,
-           const std::function<void(std::ostream &)> &fn)
-{
-    if (path == "-") {
-        fn(std::cout);
-        std::cout.flush();
-        if (!std::cout) {
-            std::fprintf(stderr, "cactid: write to stdout failed\n");
-            return false;
-        }
-        return true;
-    }
-    std::string err;
-    if (!cactid::util::writeFileAtomic(path, fn, &err)) {
-        std::fprintf(stderr, "cactid: %s\n", err.c_str());
-        return false;
-    }
-    return true;
 }
 
 /**
@@ -271,7 +195,7 @@ emitSpans(const CliArgs &args)
         meta.dropped = tracer.dropped();
         std::vector<cactid::obs::TraceEvent> events = spans;
         cactid::obs::canonicalizeTrace(events);
-        ok &= withStream(args.tracePath, [&](std::ostream &os) {
+        ok &= withStream(kTool, args.tracePath, [&](std::ostream &os) {
             cactid::obs::writeChromeTrace(os, events, meta);
         });
     }
@@ -300,13 +224,8 @@ main(int argc, char **argv)
     if (!args.tracePath.empty() || args.profile)
         cactid::obs::Tracer::instance().enable(true);
 
-    try {
-        std::string cache_err;
-        if (!cactid::tools::installSolveCache(
-                args.cacheMode, args.cacheDir, &cache_err)) {
-            std::fprintf(stderr, "cactid: %s\n", cache_err.c_str());
-            return 2;
-        }
+    return cactid::tools::runGuarded(kTool, [&] {
+        cactid::tools::installSolveCache(args.cacheMode, args.cacheDir);
 
         cactid::MemoryConfig cfg;
         cactid::SolverOptions opts;
@@ -339,7 +258,7 @@ main(int argc, char **argv)
                 cactid::registerSolveCacheStats(reg,
                                                 cache->counters());
             io_ok &=
-                withStream(args.registryPath, [&](std::ostream &os) {
+                withStream(kTool, args.registryPath, [&](std::ostream &os) {
                     cactid::obs::writeRegistryDump(
                         os, {{"solve", &reg}});
                 });
@@ -364,15 +283,5 @@ main(int argc, char **argv)
             std::printf("%s", res.stats.report().c_str());
         io_ok &= emitSpans(args);
         return io_ok ? 0 : 3;
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "cactid: %s\n", e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "cactid: internal error: %s\n", e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr,
-                     "cactid: internal error: unknown exception\n");
-        return 3;
-    }
+    });
 }

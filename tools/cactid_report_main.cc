@@ -21,19 +21,19 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <functional>
-#include <iostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/build_info.hh"
 #include "report.hh"
-#include "util/atomic_file.hh"
+#include "tools/cli.hh"
 
 namespace {
+
+using cactid::tools::withStream;
+
+constexpr const char *kTool = "cactid-report";
 
 void
 printHelp()
@@ -71,84 +71,33 @@ struct CliArgs {
 bool
 parseArgs(int argc, char **argv, CliArgs &args)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "cactid-report: %s needs a value\n",
-                             flag);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (a == "--help" || a == "-h") {
+    cactid::tools::ArgReader f(kTool, argc, argv);
+    std::string path;
+    while (f.next()) {
+        if (f.is("--help") || f.is("-h")) {
             args.help = true;
-        } else if (a == "--version") {
+        } else if (f.is("--version")) {
             args.version = true;
-        } else if (a == "--registry") {
-            const char *v = need("--registry");
-            if (!v)
-                return false;
-            args.registryPaths.push_back(v);
-        } else if (a == "--telemetry") {
-            const char *v = need("--telemetry");
-            if (!v)
-                return false;
-            args.telemetryPaths.push_back(v);
-        } else if (a == "--out") {
-            const char *v = need("--out");
-            if (!v)
-                return false;
-            args.outPath = v;
-        } else if (a == "--openmetrics") {
-            const char *v = need("--openmetrics");
-            if (!v)
-                return false;
-            args.openMetricsPath = v;
-        } else if (a == "--top") {
-            const char *v = need("--top");
-            if (!v)
-                return false;
-            args.topN = std::atoi(v);
-            if (args.topN < 0) {
-                std::fprintf(stderr,
-                             "cactid-report: --top needs a value "
-                             ">= 0\n");
-                return false;
-            }
+        } else if (f.is("--registry") || f.is("--telemetry")) {
+            auto &paths = f.is("--registry") ? args.registryPaths
+                                             : args.telemetryPaths;
+            f.text(path);
+            if (f.ok())
+                paths.push_back(path);
+        } else if (f.is("--out")) {
+            f.text(args.outPath);
+        } else if (f.is("--openmetrics")) {
+            f.text(args.openMetricsPath);
+        } else if (f.is("--top")) {
+            f.number(args.topN);
+            if (args.topN < 0)
+                f.fail("--top needs a value >= 0");
         } else {
-            std::fprintf(stderr,
-                         "cactid-report: unknown option '%s' "
-                         "(--help for usage)\n",
-                         a.c_str());
-            return false;
+            f.fail(std::string("unknown option '") + f.arg() +
+                   "' (--help for usage)");
         }
     }
-    return true;
-}
-
-/** Write via @p fn to stdout or atomically to @p path. */
-bool
-withStream(const std::string &path,
-           const std::function<void(std::ostream &)> &fn)
-{
-    if (path == "-") {
-        fn(std::cout);
-        std::cout.flush();
-        if (!std::cout) {
-            std::fprintf(stderr,
-                         "cactid-report: write to stdout failed\n");
-            return false;
-        }
-        return true;
-    }
-    std::string err;
-    if (!cactid::util::writeFileAtomic(path, fn, &err)) {
-        std::fprintf(stderr, "cactid-report: %s\n", err.c_str());
-        return false;
-    }
-    return true;
+    return f.ok();
 }
 
 } // namespace
@@ -199,24 +148,16 @@ main(int argc, char **argv)
         telemetry.push_back(std::move(shard));
     }
 
-    try {
-        bool io_ok = withStream(args.outPath, [&](std::ostream &os) {
+    return cactid::tools::runGuarded(kTool, [&] {
+        bool io_ok = withStream(kTool, args.outPath, [&](std::ostream &os) {
             writeMarkdownReport(os, registries, telemetry, args.topN);
         });
         if (!args.openMetricsPath.empty()) {
             io_ok &= withStream(
-                args.openMetricsPath, [&](std::ostream &os) {
+                kTool, args.openMetricsPath, [&](std::ostream &os) {
                     writeMergedOpenMetrics(os, registries);
                 });
         }
         return io_ok ? 0 : 3;
-    } catch (const std::invalid_argument &e) {
-        // Shard merge rejected mismatched histogram bounds.
-        std::fprintf(stderr, "cactid-report: %s\n", e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "cactid-report: internal error: %s\n",
-                     e.what());
-        return 3;
-    }
+    });
 }

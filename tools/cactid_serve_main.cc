@@ -4,20 +4,7 @@
  * requests, optionally sharded across worker processes that share one
  * on-disk solve cache.
  *
- * Usage:
- *   cactid-serve --requests FILE|- --out FILE|-
- *   cactid-serve ... --jobs N            engine threads per process
- *   cactid-serve ... --cache on|off      memoize solves (default off,
- *                                        on when --cache-dir is given)
- *   cactid-serve ... --cache-dir DIR     shared on-disk solve cache
- *   cactid-serve ... --registry FILE     serve counters (obs-v1)
- *   cactid-serve ... --openmetrics FILE  the same counters OpenMetrics
- *   cactid-serve ... --shards N          fan out over N worker
- *                                        processes and merge (needs
- *                                        file paths, not -)
- *   cactid-serve ... --shard I/N         serve requests with
- *                                        index %% N == I (worker mode)
- *   cactid-serve --version | --help
+ * printHelp() (`--help`) lists every flag.
  *
  * Responses are rendered deterministically and carry their global
  * request index, so the sharded merge (ordered by index) is
@@ -31,14 +18,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +31,7 @@
 #include "obs/build_info.hh"
 #include "obs/registry.hh"
 #include "tools/cache_cli.hh"
+#include "tools/cli.hh"
 #include "tools/report.hh"
 #include "tools/serve.hh"
 #include "util/atomic_file.hh"
@@ -56,6 +39,9 @@
 namespace {
 
 using namespace cactid;
+using tools::withStream;
+
+constexpr const char *kTool = "cactid-serve";
 
 void
 printHelp()
@@ -110,99 +96,52 @@ CliArgs
 parseArgs(int argc, char **argv)
 {
     CliArgs a;
-    auto value = [&](int &i, const char *flag) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "cactid-serve: %s needs a value\n",
-                         flag);
-            a.ok = false;
-            return nullptr;
-        }
-        return argv[++i];
-    };
-    for (int i = 1; i < argc && a.ok; ++i) {
-        const char *arg = argv[i];
-        const char *v = nullptr;
-        if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h"))
+    tools::ArgReader f(kTool, argc, argv);
+    while (f.next()) {
+        if (f.is("--help") || f.is("-h"))
             a.help = true;
-        else if (!std::strcmp(arg, "--version"))
+        else if (f.is("--version"))
             a.version = true;
-        else if (!std::strcmp(arg, "--requests"))
-            a.requestsPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--out"))
-            a.outPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--jobs"))
-            a.jobs = (v = value(i, arg)) ? std::atoi(v) : 0;
-        else if (!std::strcmp(arg, "--cache"))
-            a.cacheMode = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--cache-dir"))
-            a.cacheDir = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--registry"))
-            a.registryPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--openmetrics"))
-            a.openMetricsPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--shards"))
-            a.shards = (v = value(i, arg)) ? std::atoi(v) : 0;
-        else if (!std::strcmp(arg, "--shard")) {
-            if (!(v = value(i, arg)))
-                break;
-            if (std::sscanf(v, "%d/%d", &a.shardIndex,
-                            &a.shardCount) != 2 ||
-                a.shardCount < 1 || a.shardIndex < 0 ||
-                a.shardIndex >= a.shardCount) {
-                std::fprintf(stderr,
-                             "cactid-serve: --shard needs I/N with "
-                             "0 <= I < N (got %s)\n",
-                             v);
-                a.ok = false;
-            }
-        } else {
-            std::fprintf(stderr, "cactid-serve: unknown flag %s\n",
-                         arg);
-            a.ok = false;
-        }
+        else if (f.is("--requests"))
+            f.text(a.requestsPath);
+        else if (f.is("--out"))
+            f.text(a.outPath);
+        else if (f.is("--jobs"))
+            f.number(a.jobs);
+        else if (f.is("--cache"))
+            f.text(a.cacheMode);
+        else if (f.is("--cache-dir"))
+            f.text(a.cacheDir);
+        else if (f.is("--registry"))
+            f.text(a.registryPath);
+        else if (f.is("--openmetrics"))
+            f.text(a.openMetricsPath);
+        else if (f.is("--shards"))
+            f.number(a.shards);
+        else if (f.is("--shard")) {
+            const char *v = f.value();
+            const std::string_view spec = v ? v : "";
+            const std::size_t slash = spec.find('/');
+            const bool good =
+                slash != std::string_view::npos &&
+                util::parseNumber(spec.substr(0, slash), a.shardIndex) &&
+                util::parseNumber(spec.substr(slash + 1), a.shardCount) &&
+                0 <= a.shardIndex && a.shardIndex < a.shardCount;
+            if (v && !good)
+                f.fail("--shard needs I/N with 0 <= I < N (got " +
+                       std::string(v) + ")");
+        } else
+            f.fail(std::string("unknown flag ") + f.arg());
     }
-    if (!a.ok)
-        return a;
-    if (a.shards != 0 && a.shardIndex >= 0) {
-        std::fprintf(stderr, "cactid-serve: --shards (parent) and "
-                             "--shard (worker) are exclusive\n");
-        a.ok = false;
-    } else if (a.shards < 0) {
-        std::fprintf(stderr,
-                     "cactid-serve: --shards needs a value >= 1\n");
-        a.ok = false;
-    } else if (a.shards > 1 &&
-               (a.requestsPath == "-" || a.outPath == "-")) {
-        std::fprintf(stderr,
-                     "cactid-serve: --shards needs file paths for "
-                     "--requests and --out (workers re-read the "
-                     "stream)\n");
-        a.ok = false;
-    }
+    if (a.shards != 0 && a.shardIndex >= 0)
+        f.fail("--shards (parent) and --shard (worker) are exclusive");
+    else if (a.shards < 0)
+        f.fail("--shards needs a value >= 1");
+    else if (a.shards > 1 && (a.requestsPath == "-" || a.outPath == "-"))
+        f.fail("--shards needs file paths for --requests and --out "
+               "(workers re-read the stream)");
+    a.ok = f.ok();
     return a;
-}
-
-/** Write to FILE (atomic tmp+fsync+rename) or stdout when "-". */
-bool
-withStream(const std::string &path,
-           const std::function<void(std::ostream &)> &fn)
-{
-    if (path == "-") {
-        fn(std::cout);
-        std::cout.flush();
-        if (!std::cout) {
-            std::fprintf(stderr,
-                         "cactid-serve: write to stdout failed\n");
-            return false;
-        }
-        return true;
-    }
-    std::string err;
-    if (!util::writeFileAtomic(path, fn, &err)) {
-        std::fprintf(stderr, "cactid-serve: %s\n", err.c_str());
-        return false;
-    }
-    return true;
 }
 
 bool
@@ -248,7 +187,7 @@ serveInProcess(const CliArgs &args)
     const std::vector<std::string> responses =
         tools::serveRequests(lines, opts, &stats);
 
-    bool io_ok = withStream(args.outPath, [&](std::ostream &os) {
+    bool io_ok = withStream(kTool, args.outPath, [&](std::ostream &os) {
         for (const std::string &r : responses)
             os << r << "\n";
     });
@@ -257,7 +196,7 @@ serveInProcess(const CliArgs &args)
     tools::registerServeStats(reg, stats,
                               tools::installedSolveCache());
     if (!args.registryPath.empty())
-        io_ok &= withStream(args.registryPath, [&](std::ostream &os) {
+        io_ok &= withStream(kTool, args.registryPath, [&](std::ostream &os) {
             obs::writeRegistryDump(os, {{"serve", &reg}});
         });
     if (!args.openMetricsPath.empty()) {
@@ -266,7 +205,7 @@ serveInProcess(const CliArgs &args)
         tools::RegistryShard shard;
         shard.registries.emplace_back("serve", reg);
         io_ok &=
-            withStream(args.openMetricsPath, [&](std::ostream &os) {
+            withStream(kTool, args.openMetricsPath, [&](std::ostream &os) {
                 tools::writeMergedOpenMetrics(os, {shard});
             });
     }
@@ -372,7 +311,7 @@ serveSharded(const CliArgs &args)
             merged[index] = line;
         }
     }
-    bool io_ok = withStream(args.outPath, [&](std::ostream &os) {
+    bool io_ok = withStream(kTool, args.outPath, [&](std::ostream &os) {
         for (const auto &[index, line] : merged)
             os << line << "\n";
     });
@@ -397,14 +336,14 @@ serveSharded(const CliArgs &args)
             for (const auto &[label, reg] : merged_regs)
                 items.emplace_back(label, &reg);
             io_ok &=
-                withStream(args.registryPath, [&](std::ostream &os) {
+                withStream(kTool, args.registryPath, [&](std::ostream &os) {
                     obs::writeRegistryDump(os, items);
                 });
         }
         if (!args.openMetricsPath.empty()) {
             tools::RegistryShard one;
             one.registries = merged_regs;
-            io_ok &= withStream(args.openMetricsPath,
+            io_ok &= withStream(kTool, args.openMetricsPath,
                                 [&](std::ostream &os) {
                                     tools::writeMergedOpenMetrics(
                                         os, {one});
@@ -441,27 +380,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    try {
-        std::string err;
-        if (!tools::installSolveCache(args.cacheMode, args.cacheDir,
-                                      &err)) {
-            std::fprintf(stderr, "cactid-serve: %s\n", err.c_str());
-            return 2;
-        }
+    return tools::runGuarded(kTool, [&] {
+        tools::installSolveCache(args.cacheMode, args.cacheDir);
         if (args.shards > 1)
             return serveSharded(args);
         return serveInProcess(args);
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "cactid-serve: %s\n", e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "cactid-serve: internal error: %s\n",
-                     e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr,
-                     "cactid-serve: internal error: unknown "
-                     "exception\n");
-        return 3;
-    }
+    });
 }

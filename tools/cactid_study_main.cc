@@ -5,46 +5,8 @@
  * export the Figure-4/5 aggregates and the per-epoch metric streams
  * as JSON and CSV.
  *
- * Usage:
- *   cactid-study                         full sweep, aggregate table
- *   cactid-study --jobs 8                worker threads (0 = all cores)
- *   cactid-study --instr 50000           instruction budget per thread
- *   cactid-study --epoch 20000           epoch interval (cycles)
- *   cactid-study --configs nol3,sram     subset of configurations
- *   cactid-study --workloads ft.B,cg.C   subset of workloads
- *   cactid-study --json FILE             JSON export ("-" = stdout)
- *   cactid-study --csv FILE              per-epoch CSV export
- *   cactid-study --summary-csv FILE      per-run aggregate CSV export
- *   cactid-study --no-thermal            skip the stack thermal solves
- *   cactid-study --table3                print Table 3 first
- *   cactid-study --quiet                 suppress the aggregate table
- *   cactid-study --trace FILE            simulator events as Chrome
- *                                        trace JSON (deterministic)
- *   cactid-study --cache on|off          memoize the LLC solves
- *   cactid-study --cache-dir DIR         persist the solve cache
- *   cactid-study --registry FILE         per-run counter registries
- *   cactid-study --openmetrics FILE      the same counters in the
- *                                        OpenMetrics text format
- *   cactid-study --latency-histograms    per-level latency and queue
- *                                        distributions (sim.lat.*)
- *   cactid-study --telemetry FILE        live JSONL sweep heartbeat
- *   cactid-study --telemetry-interval MS heartbeat period (default
- *                                        1000)
- *   cactid-study --profile               wall-clock span summary
- *   cactid-study --checkpoint DIR        persist each completed run
- *   cactid-study --checkpoint DIR --resume
- *                                        reuse valid records, re-run
- *                                        the missing and failed ones
- *   cactid-study --max-cycles N          per-run simulated-cycle budget
- *   cactid-study --max-wall-ms N         per-run wall-clock budget
- *   cactid-study --retry N               attempts per failed run
- *   cactid-study --cores N               cores per system (default 8)
- *   cactid-study --threads-per-core N    hardware threads per core (4)
- *   cactid-study --dir-mode MODE         sharer tracking: auto, snoop,
- *                                        broadcast or sparse
- *   cactid-study --dir-sets/--dir-assoc/--dir-pointers
- *                                        sparse-directory geometry
- *   cactid-study --version               build stamp
+ * printHelp() (`--help`) lists every flag; numeric flag values must
+ * be whole integers.
  *
  * Exit codes: 0 every run Ok; 1 the sweep completed but some run is
  * non-Ok (failed / timed out); 2 usage or configuration error; 3
@@ -52,8 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -67,11 +27,14 @@
 #include "sim/resilience.hh"
 #include "sim/runner.hh"
 #include "tools/cache_cli.hh"
-#include "util/atomic_file.hh"
+#include "tools/cli.hh"
 
 namespace {
 
 using namespace archsim;
+using cactid::tools::withStream;
+
+constexpr const char *kTool = "cactid-study";
 
 void
 printHelp()
@@ -213,210 +176,117 @@ CliArgs
 parseArgs(int argc, char **argv)
 {
     CliArgs a;
-    auto value = [&](int &i, const char *flag) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "cactid-study: %s needs a value\n",
-                         flag);
-            a.ok = false;
-            return nullptr;
-        }
-        return argv[++i];
-    };
-    for (int i = 1; i < argc && a.ok; ++i) {
-        const char *arg = argv[i];
-        const char *v = nullptr;
-        if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h"))
+    cactid::tools::ArgReader f(kTool, argc, argv);
+    while (f.next()) {
+        if (f.is("--help") || f.is("-h"))
             a.help = true;
-        else if (!std::strcmp(arg, "--jobs"))
-            a.jobs = (v = value(i, arg)) ? std::atoi(v) : 0;
-        else if (!std::strcmp(arg, "--instr"))
-            a.instr = (v = value(i, arg))
-                          ? std::strtoull(v, nullptr, 10)
-                          : 0;
-        else if (!std::strcmp(arg, "--epoch"))
-            a.epoch = (v = value(i, arg))
-                          ? std::strtoull(v, nullptr, 10)
-                          : 0;
-        else if (!std::strcmp(arg, "--configs"))
-            a.configs = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--workloads"))
-            a.workloads = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--json"))
-            a.jsonPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--csv"))
-            a.csvPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--summary-csv"))
-            a.summaryPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--trace"))
-            a.tracePath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--trace-capacity"))
-            a.traceCapacity = (v = value(i, arg))
-                                  ? std::strtoull(v, nullptr, 10)
-                                  : 0;
-        else if (!std::strcmp(arg, "--registry"))
-            a.registryPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--openmetrics"))
-            a.openMetricsPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--telemetry"))
-            a.telemetryPath = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--telemetry-interval")) {
-            a.telemetryIntervalMs = (v = value(i, arg))
-                                        ? std::strtoull(v, nullptr, 10)
-                                        : 0;
+        else if (f.is("--jobs"))
+            f.number(a.jobs);
+        else if (f.is("--instr"))
+            f.number(a.instr);
+        else if (f.is("--epoch"))
+            f.number(a.epoch);
+        else if (f.is("--configs"))
+            f.text(a.configs);
+        else if (f.is("--workloads"))
+            f.text(a.workloads);
+        else if (f.is("--json"))
+            f.text(a.jsonPath);
+        else if (f.is("--csv"))
+            f.text(a.csvPath);
+        else if (f.is("--summary-csv"))
+            f.text(a.summaryPath);
+        else if (f.is("--trace"))
+            f.text(a.tracePath);
+        else if (f.is("--trace-capacity"))
+            f.number(a.traceCapacity);
+        else if (f.is("--registry"))
+            f.text(a.registryPath);
+        else if (f.is("--openmetrics"))
+            f.text(a.openMetricsPath);
+        else if (f.is("--telemetry"))
+            f.text(a.telemetryPath);
+        else if (f.is("--telemetry-interval")) {
+            f.number(a.telemetryIntervalMs);
             a.telemetryIntervalSet = true;
-        } else if (!std::strcmp(arg, "--latency-histograms"))
+        } else if (f.is("--latency-histograms"))
             a.latencyHistograms = true;
-        else if (!std::strcmp(arg, "--cache"))
-            a.cacheMode = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--cache-dir"))
-            a.cacheDir = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--checkpoint"))
-            a.checkpointDir = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--resume"))
+        else if (f.is("--cache"))
+            f.text(a.cacheMode);
+        else if (f.is("--cache-dir"))
+            f.text(a.cacheDir);
+        else if (f.is("--checkpoint"))
+            f.text(a.checkpointDir);
+        else if (f.is("--resume"))
             a.resume = true;
-        else if (!std::strcmp(arg, "--max-cycles"))
-            a.maxCycles = (v = value(i, arg))
-                              ? std::strtoull(v, nullptr, 10)
-                              : 0;
-        else if (!std::strcmp(arg, "--max-wall-ms"))
-            a.maxWallMs = (v = value(i, arg))
-                              ? std::strtoull(v, nullptr, 10)
-                              : 0;
-        else if (!std::strcmp(arg, "--retry"))
-            a.retry = (v = value(i, arg)) ? std::atoi(v) : 0;
-        else if (!std::strcmp(arg, "--cores"))
-            a.cores = (v = value(i, arg)) ? std::atoi(v) : 0;
-        else if (!std::strcmp(arg, "--threads-per-core"))
-            a.threadsPerCore = (v = value(i, arg)) ? std::atoi(v) : 0;
-        else if (!std::strcmp(arg, "--dir-mode"))
-            a.dirMode = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--dir-sets"))
-            a.dirSets = (v = value(i, arg))
-                            ? std::strtoull(v, nullptr, 10)
-                            : 0;
-        else if (!std::strcmp(arg, "--dir-assoc"))
-            a.dirAssoc = (v = value(i, arg)) ? std::atoi(v) : 0;
-        else if (!std::strcmp(arg, "--dir-pointers"))
-            a.dirPointers = (v = value(i, arg)) ? std::atoi(v) : 0;
-        else if (!std::strcmp(arg, "--retry-timeouts"))
+        else if (f.is("--max-cycles"))
+            f.number(a.maxCycles);
+        else if (f.is("--max-wall-ms"))
+            f.number(a.maxWallMs);
+        else if (f.is("--retry"))
+            f.number(a.retry);
+        else if (f.is("--cores"))
+            f.number(a.cores);
+        else if (f.is("--threads-per-core"))
+            f.number(a.threadsPerCore);
+        else if (f.is("--dir-mode"))
+            f.text(a.dirMode);
+        else if (f.is("--dir-sets"))
+            f.number(a.dirSets);
+        else if (f.is("--dir-assoc"))
+            f.number(a.dirAssoc);
+        else if (f.is("--dir-pointers"))
+            f.number(a.dirPointers);
+        else if (f.is("--retry-timeouts"))
             a.retryTimeouts = true;
-        else if (!std::strcmp(arg, "--fault-plan"))
-            a.faultPlanSpec = (v = value(i, arg)) ? v : "";
-        else if (!std::strcmp(arg, "--profile"))
+        else if (f.is("--fault-plan"))
+            f.text(a.faultPlanSpec);
+        else if (f.is("--profile"))
             a.profile = true;
-        else if (!std::strcmp(arg, "--version"))
+        else if (f.is("--version"))
             a.version = true;
-        else if (!std::strcmp(arg, "--no-thermal"))
+        else if (f.is("--no-thermal"))
             a.thermal = false;
-        else if (!std::strcmp(arg, "--exact-events"))
+        else if (f.is("--exact-events"))
             a.exactEvents = true;
-        else if (!std::strcmp(arg, "--table3"))
+        else if (f.is("--table3"))
             a.table3 = true;
-        else if (!std::strcmp(arg, "--quiet"))
+        else if (f.is("--quiet"))
             a.quiet = true;
-        else {
-            std::fprintf(stderr, "cactid-study: unknown flag %s\n",
-                         arg);
-            a.ok = false;
-        }
+        else
+            f.fail(std::string("unknown flag ") + f.arg());
     }
-    if (a.ok && a.resume && a.checkpointDir.empty()) {
-        std::fprintf(stderr,
-                     "cactid-study: --resume requires --checkpoint\n");
-        a.ok = false;
-    }
-    if (a.ok && !a.checkpointDir.empty() && !a.tracePath.empty()) {
-        std::fprintf(stderr,
-                     "cactid-study: --checkpoint cannot be combined "
-                     "with --trace (event streams are not "
-                     "checkpointed)\n");
-        a.ok = false;
-    }
-    if (a.ok && !a.checkpointDir.empty() && a.latencyHistograms) {
-        std::fprintf(stderr,
-                     "cactid-study: --checkpoint cannot be combined "
-                     "with --latency-histograms (distributions are "
-                     "not checkpointed)\n");
-        a.ok = false;
-    }
-    if (a.ok && a.telemetryIntervalSet && a.telemetryPath.empty()) {
-        std::fprintf(stderr,
-                     "cactid-study: --telemetry-interval requires "
-                     "--telemetry\n");
-        a.ok = false;
-    }
-    if (a.ok && a.telemetryIntervalSet && a.telemetryIntervalMs < 1) {
-        std::fprintf(stderr,
-                     "cactid-study: --telemetry-interval needs a "
-                     "value >= 1\n");
-        a.ok = false;
-    }
-    if (a.ok && a.retry < 1) {
-        std::fprintf(stderr,
-                     "cactid-study: --retry needs a value >= 1\n");
-        a.ok = false;
-    }
-    if (a.ok && a.dirMode != "auto" && a.dirMode != "snoop" &&
-        a.dirMode != "broadcast" && a.dirMode != "sparse") {
-        std::fprintf(stderr,
-                     "cactid-study: --dir-mode must be auto, snoop, "
-                     "broadcast or sparse (got %s)\n",
-                     a.dirMode.c_str());
-        a.ok = false;
-    }
-    if (a.ok && a.cores < 0) {
-        std::fprintf(stderr,
-                     "cactid-study: --cores needs a value >= 1\n");
-        a.ok = false;
-    }
-    if (a.ok && a.dirSets != 0 && (a.dirSets & (a.dirSets - 1)) != 0) {
-        std::fprintf(stderr,
-                     "cactid-study: --dir-sets must be a power of two "
-                     "(got %zu)\n",
-                     a.dirSets);
-        a.ok = false;
-    }
-    if (a.ok && (a.dirAssoc < 1 || a.dirPointers < 1)) {
-        std::fprintf(stderr,
-                     "cactid-study: --dir-assoc and --dir-pointers "
-                     "need values >= 1\n");
-        a.ok = false;
-    }
-    if (a.ok && a.dirMode == "snoop" && a.cores > 16) {
-        std::fprintf(stderr,
-                     "cactid-study: --dir-mode snoop tracks at most "
-                     "16 cores (--cores %d); use sparse\n",
-                     a.cores);
-        a.ok = false;
-    }
+    if (a.resume && a.checkpointDir.empty())
+        f.fail("--resume requires --checkpoint");
+    if (!a.checkpointDir.empty() && !a.tracePath.empty())
+        f.fail("--checkpoint cannot be combined with --trace (event "
+               "streams are not checkpointed)");
+    if (!a.checkpointDir.empty() && a.latencyHistograms)
+        f.fail("--checkpoint cannot be combined with "
+               "--latency-histograms (distributions are not "
+               "checkpointed)");
+    if (a.telemetryIntervalSet && a.telemetryPath.empty())
+        f.fail("--telemetry-interval requires --telemetry");
+    if (a.telemetryIntervalSet && a.telemetryIntervalMs < 1)
+        f.fail("--telemetry-interval needs a value >= 1");
+    if (a.retry < 1)
+        f.fail("--retry needs a value >= 1");
+    if (a.dirMode != "auto" && a.dirMode != "snoop" &&
+        a.dirMode != "broadcast" && a.dirMode != "sparse")
+        f.fail("--dir-mode must be auto, snoop, broadcast or sparse "
+               "(got " + a.dirMode + ")");
+    if (a.cores < 0)
+        f.fail("--cores needs a value >= 1");
+    if (a.dirSets != 0 && (a.dirSets & (a.dirSets - 1)) != 0)
+        f.fail("--dir-sets must be a power of two (got " +
+               std::to_string(a.dirSets) + ")");
+    if (a.dirAssoc < 1 || a.dirPointers < 1)
+        f.fail("--dir-assoc and --dir-pointers need values >= 1");
+    if (a.dirMode == "snoop" && a.cores > 16)
+        f.fail("--dir-mode snoop tracks at most 16 cores (--cores " +
+               std::to_string(a.cores) + "); use sparse");
+    a.ok = f.ok();
     return a;
-}
-
-/**
- * Write to FILE (atomically: tmp + fsync + rename, so a crash or a
- * full disk never leaves a torn export), or to stdout when the path
- * is "-".  Stream failures are reported, not swallowed.
- */
-bool
-withStream(const std::string &path,
-           const std::function<void(std::ostream &)> &fn)
-{
-    if (path == "-") {
-        fn(std::cout);
-        std::cout.flush();
-        if (!std::cout) {
-            std::fprintf(stderr,
-                         "cactid-study: write to stdout failed\n");
-            return false;
-        }
-        return true;
-    }
-    std::string err;
-    if (!cactid::util::writeFileAtomic(path, fn, &err)) {
-        std::fprintf(stderr, "cactid-study: %s\n", err.c_str());
-        return false;
-    }
-    return true;
 }
 
 void
@@ -481,16 +351,10 @@ main(int argc, char **argv)
     if (args.profile)
         cactid::obs::Tracer::instance().enable(true);
 
-    try {
+    return cactid::tools::runGuarded(kTool, [&] {
         // Install the solve cache before the Study constructor runs
         // its eight LLC solves, so those are memoized too.
-        std::string cache_err;
-        if (!cactid::tools::installSolveCache(
-                args.cacheMode, args.cacheDir, &cache_err)) {
-            std::fprintf(stderr, "cactid-study: %s\n",
-                         cache_err.c_str());
-            return 2;
-        }
+        cactid::tools::installSolveCache(args.cacheMode, args.cacheDir);
 
         Study study;
         if (args.table3)
@@ -604,30 +468,30 @@ main(int argc, char **argv)
 
         bool io_ok = true;
         if (!args.jsonPath.empty())
-            io_ok &= withStream(args.jsonPath, [&](std::ostream &os) {
+            io_ok &= withStream(kTool, args.jsonPath, [&](std::ostream &os) {
                 exportJson(os, runs, runner);
             });
         if (!args.csvPath.empty())
-            io_ok &= withStream(args.csvPath, [&](std::ostream &os) {
+            io_ok &= withStream(kTool, args.csvPath, [&](std::ostream &os) {
                 exportEpochsCsv(os, runs);
             });
         if (!args.summaryPath.empty())
             io_ok &=
-                withStream(args.summaryPath, [&](std::ostream &os) {
+                withStream(kTool, args.summaryPath, [&](std::ostream &os) {
                     exportSummaryCsv(os, runs);
                 });
         if (!args.tracePath.empty())
-            io_ok &= withStream(args.tracePath, [&](std::ostream &os) {
+            io_ok &= withStream(kTool, args.tracePath, [&](std::ostream &os) {
                 exportTraceJson(os, runs, runner);
             });
         if (!args.registryPath.empty())
             io_ok &=
-                withStream(args.registryPath, [&](std::ostream &os) {
+                withStream(kTool, args.registryPath, [&](std::ostream &os) {
                     exportRegistry(os, runs, runner);
                 });
         if (!args.openMetricsPath.empty())
             io_ok &=
-                withStream(args.openMetricsPath, [&](std::ostream &os) {
+                withStream(kTool, args.openMetricsPath, [&](std::ostream &os) {
                     exportOpenMetrics(os, runs, runner);
                 });
         if (args.profile) {
@@ -648,17 +512,5 @@ main(int argc, char **argv)
                 return 1;
         }
         return 0;
-    } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "cactid-study: %s\n", e.what());
-        return 2;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "cactid-study: internal error: %s\n",
-                     e.what());
-        return 3;
-    } catch (...) {
-        std::fprintf(stderr,
-                     "cactid-study: internal error: unknown "
-                     "exception\n");
-        return 3;
-    }
+    });
 }
