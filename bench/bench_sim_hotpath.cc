@@ -104,7 +104,7 @@ runIdentitySweep(const Study &study, int jobs)
     std::ostringstream js, cs, tr;
     exportJson(js, runs, runner);
     exportSummaryCsv(cs, runs);
-    exportTraceJson(tr, runs, runner);
+    exportTraceJson(tr, runs);
     e.json = js.str();
     e.csv = cs.str();
     e.trace = tr.str();

@@ -6,8 +6,9 @@
  *
  *  1. isolation: every un-faulted run still completes, and the
  *     faulted sweep is byte-identical for any jobs count;
- *  2. watchdog: a cycle budget converts every run to timed_out at
- *     the same deterministic cycle, serial or pooled;
+ *  2. watchdog: a cycle budget (half the shortest clean run)
+ *     converts every run to timed_out at the same deterministic
+ *     cycle, serial or pooled;
  *  3. retry: transient faults recover with the attempt recorded;
  *  4. resume: a checkpointed, fault-interrupted sweep, resumed
  *     without the faults, exports the same bytes as an uninterrupted
@@ -17,6 +18,7 @@
  *        (defaults: 8 jobs, defaultInstrPerThread()/8, seed 42)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -92,6 +94,13 @@ main(int argc, char **argv)
         all_ok = all_ok && pass;
     };
 
+    // The clean sweep is the resume contract's reference and sizes the
+    // watchdog budget, so it runs first.
+    const SweepOut clean = runSweep(study, base);
+    Cycle shortest = clean.runs.front().stats.cycles;
+    for (const RunResult &r : clean.runs)
+        shortest = std::min(shortest, r.stats.cycles);
+
     // 1. Isolation: 3 seeded mid-simulation faults; the other runs
     //    finish, and the result is jobs-independent.
     RunnerOptions faulted = base;
@@ -111,10 +120,11 @@ main(int argc, char **argv)
     std::printf("    faulted sweep: %.3fs pooled, %.3fs serial\n",
                 f_pool.secs, f_serial.secs);
 
-    // 2. Watchdog: a tight cycle budget times every run out at a
-    //    deterministic cycle.
+    // 2. Watchdog: a budget of half the shortest clean run times
+    //    every run out at a deterministic cycle, at any instruction
+    //    count.
     RunnerOptions budget = base;
-    budget.maxCycles = 50000;
+    budget.maxCycles = shortest / 2;
     const SweepOut b_pool = runSweep(study, budget);
     RunnerOptions budget_serial = budget;
     budget_serial.jobs = 1;
@@ -180,7 +190,6 @@ main(int argc, char **argv)
         return true;
     };
     const SweepOut resumed = runSweep(study, pass2);
-    const SweepOut clean = runSweep(study, base);
     verdict("resume: byte-identical to clean sweep",
             resumed.json == clean.json);
     std::printf("    resume %.3fs vs clean %.3fs (%zu of %zu runs "

@@ -97,10 +97,6 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &p)
             }
         }
         break;
-      case DirectoryMode::Snoop:
-        // Constructor throws past kMaxCores, naming the limit.
-        snoop_ = std::make_unique<SnoopFilter>(p.nCores, live);
-        break;
       case DirectoryMode::Broadcast:
         break;
       case DirectoryMode::Sparse:

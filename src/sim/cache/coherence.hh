@@ -58,7 +58,7 @@ struct HierarchyParams {
      * Sharer tracking (see DirectoryMode).  Auto keeps the exact
      * SnoopFilter up to 16 cores — byte-identical to the pinned
      * goldens — and switches to the sparse directory beyond, with a
-     * one-time warning.  Snoop throws for >16 cores.
+     * one-time warning.
      */
     DirectoryMode dirMode = DirectoryMode::Auto;
     SparseDirParams dir; ///< sparse-directory geometry

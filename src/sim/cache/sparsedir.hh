@@ -46,7 +46,11 @@
 
 namespace archsim {
 
-/** How the hierarchy tracks remote sharers (see CacheHierarchy). */
+/**
+ * How the hierarchy tracks remote sharers (see CacheHierarchy).  The
+ * values are part of checkpoint keys (StudyRunner::fingerprint), so
+ * they stay fixed; 1 was a retired snoop-filter-only mode.
+ */
 enum class DirectoryMode : std::uint8_t {
     /**
      * Default: the exact SnoopFilter up to its 16-core mask width
@@ -54,13 +58,11 @@ enum class DirectoryMode : std::uint8_t {
      * beyond — with a one-time warning plus a counter, because the
      * implicit switch changes the modeled protocol.
      */
-    Auto,
-    /** Exact snoop filter; rejects systems wider than 16 cores. */
-    Snoop,
+    Auto = 0,
     /** No directory: probe every remote L2 (the old wide fallback). */
-    Broadcast,
+    Broadcast = 2,
     /** Sparse limited-pointer directory at any core count. */
-    Sparse,
+    Sparse = 3,
 };
 
 /** Geometry of the sparse directory. */

@@ -133,16 +133,13 @@ System::System(const HierarchyParams &hp, const TraceFile &trace,
 }
 
 SimStats
-System::run(EpochRecorder *rec, SimMode mode, const RunLimits &limits)
+System::run(EpochRecorder *rec, const RunLimits &limits)
 {
     OBS_PROFILE_SCOPE("sim.run");
     if (rec)
         rec->start(hier_.params());
-    const bool exact = mode == SimMode::Exact;
     const bool guarded = limits.any();
     BudgetGuard guard(limits, workloadName_);
-    if (exact)
-        hier_.memory().setEventDriven(true);
 
     // Event-driven loop: cores come off a lazy min-heap keyed on
     // their next ready cycle instead of being scanned every cycle.
@@ -196,41 +193,9 @@ System::run(EpochRecorder *rec, SimMode mode, const RunLimits &limits)
             cycle = next;
         }
 
-        if (exact) {
-            advanceEventsTo(cycle, rec);
-        } else if (rec && rec->due(cycle)) {
-            OBS_EVENT(trace_, .name = "epoch", .cat = "sim", .ph = 'i',
-                      .ts = cycle, .argName = "index",
-                      .argValue = std::uint64_t(rec->samples().size()));
-            rec->close(cycle, totalInstructions(), hier_.counters(),
-                       hier_.llc(), hier_.dramCounters());
-        }
+        sampleEpoch(cycle, rec);
     }
     return finalize(cycle, rec);
-}
-
-void
-System::advanceEventsTo(Cycle now, EpochRecorder *rec)
-{
-    constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
-    for (;;) {
-        const Cycle mem = hier_.memory().nextEvent();
-        const Cycle boundary = rec ? rec->nextBoundary() : kMax;
-        if (mem <= now && mem < boundary) {
-            hier_.memory().fireEventsUpTo(mem);
-        } else if (rec && boundary <= now) {
-            // Close at the exact boundary cycle.  No instructions
-            // retire between the last visited cycle and @p now, so
-            // the instruction total is already the boundary's value.
-            OBS_EVENT(trace_, .name = "epoch", .cat = "sim", .ph = 'i',
-                      .ts = boundary, .argName = "index",
-                      .argValue = std::uint64_t(rec->samples().size()));
-            rec->close(boundary, totalInstructions(), hier_.counters(),
-                       hier_.llc(), hier_.dramCounters());
-        } else {
-            return;
-        }
-    }
 }
 
 SimStats
@@ -274,15 +239,21 @@ System::runReference(EpochRecorder *rec)
             cycle = std::max(next, cycle + 1);
         }
 
-        if (rec && rec->due(cycle)) {
-            OBS_EVENT(trace_, .name = "epoch", .cat = "sim", .ph = 'i',
-                      .ts = cycle, .argName = "index",
-                      .argValue = std::uint64_t(rec->samples().size()));
-            rec->close(cycle, totalInstructions(), hier_.counters(),
-                       hier_.llc(), hier_.dramCounters());
-        }
+        sampleEpoch(cycle, rec);
     }
     return finalize(cycle, rec);
+}
+
+void
+System::sampleEpoch(Cycle cycle, EpochRecorder *rec)
+{
+    if (!rec || !rec->due(cycle))
+        return;
+    OBS_EVENT(trace_, .name = "epoch", .cat = "sim", .ph = 'i',
+              .ts = cycle, .argName = "index",
+              .argValue = std::uint64_t(rec->samples().size()));
+    rec->close(cycle, totalInstructions(), hier_.counters(), hier_.llc(),
+               hier_.dramCounters());
 }
 
 void

@@ -21,25 +21,6 @@ namespace archsim {
 class EpochRecorder;
 
 /**
- * Event semantics of a run.
- *
- * Golden reproduces the pinned golden observables byte-for-byte:
- * epochs close at the first *visited* cycle at or past their
- * boundary (the landing cycle when a time jump crosses it), and DRAM
- * refresh / power-down effects are applied lazily at access time.
- *
- * Exact instead fires scheduled events in time order while the clock
- * jumps: each crossed epoch boundary closes at its exact boundary
- * cycle (every full epoch is exactly interval cycles long), DRAM
- * refreshes fire at their due cycle even during idle gaps, and
- * power-down entries are counted when the idle timer expires rather
- * than when a later access observes the gap.  Physics are identical;
- * only boundary attribution differs, so Exact output is NOT
- * byte-comparable to the pinned goldens.
- */
-enum class SimMode : std::uint8_t { Golden, Exact };
-
-/**
  * Watchdog budgets (and the fault-injection hook) of one run.  All
  * limits default to "unlimited"; a System with default limits runs
  * byte-identically to one without the parameter.
@@ -146,12 +127,10 @@ class System
      * boundary (see sim/metrics.hh).
      *
      * Event-driven: cores are stepped off a ready-queue instead of
-     * being scanned every cycle.  In SimMode::Golden (the default)
-     * observables are byte-identical to runReference() (same issue
-     * order, cycle progression, counters, epoch samples and trace
-     * events); SimMode::Exact additionally fires epoch-boundary and
-     * DRAM events at their exact cycles during time jumps.  A System
-     * can be run once; call either run() or runReference(), not both.
+     * being scanned every cycle, with observables byte-identical to
+     * runReference() (same issue order, cycle progression, counters,
+     * epoch samples and trace events).  A System can be run once;
+     * call either run() or runReference(), not both.
      *
      * @p limits arms the watchdogs: the run raises SimTimeout when a
      * budget expires and InjectedFault at a fault-injection site (see
@@ -160,7 +139,6 @@ class System
      * std::runtime_error.
      */
     SimStats run(EpochRecorder *rec = nullptr,
-                 SimMode mode = SimMode::Golden,
                  const RunLimits &limits = {});
 
     /**
@@ -210,12 +188,11 @@ class System
     [[noreturn]] void throwDeadlock(Cycle cycle) const;
 
     /**
-     * SimMode::Exact: fire DRAM events and close epoch boundaries at
-     * or before @p now, in time order (an event strictly before a
-     * boundary lands in that boundary's epoch; an event at the
-     * boundary cycle lands in the next one).
+     * Close @p rec's epoch at @p cycle once it is due: the first
+     * visited cycle at or past the boundary, which is the landing
+     * cycle when a time jump crosses it.
      */
-    void advanceEventsTo(Cycle now, EpochRecorder *rec);
+    void sampleEpoch(Cycle cycle, EpochRecorder *rec);
 
     /** Close the run at @p end and assemble the aggregate statistics. */
     SimStats finalize(Cycle end, EpochRecorder *rec);

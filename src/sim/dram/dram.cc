@@ -6,7 +6,6 @@
 #include "sim/dram/dram.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/latency.hh"
 
@@ -53,31 +52,14 @@ MemorySystem::access(Addr addr, bool write, Cycle now)
     Channel &ch = channels_[ch_idx];
 
     Cycle wake = 0;
-    if (p_.powerDown) {
-        if (eventDriven_) {
-            // The entry was a scheduled event; only the exit happens
-            // at access time.  The powered-down interval and the
-            // wake latency match the lazy path (pdSince is exactly
-            // lastUse + powerDownAfter at entry).
-            if (ch.poweredDown) {
-                wake = p_.tPowerDownExit;
-                counters_.powerDownCycles += now - ch.pdSince;
-                ch.poweredDown = false;
-                OBS_EVENT(trace_, .name = "dram.pd_exit",
-                          .cat = "dram", .ph = 'i', .ts = now,
-                          .tid = std::uint32_t(ch_idx));
-            }
-        } else if (now > ch.lastUse + p_.powerDownAfter) {
-            // The rank dropped CKE after the idle threshold; pay the
-            // exit latency and book the powered-down interval.
-            wake = p_.tPowerDownExit;
-            ++counters_.powerDownEntries;
-            counters_.powerDownCycles += now - (ch.lastUse +
-                                                p_.powerDownAfter);
-            OBS_EVENT(trace_, .name = "dram.pd_exit", .cat = "dram",
-                      .ph = 'i', .ts = now,
-                      .tid = std::uint32_t(ch_idx));
-        }
+    if (p_.powerDown && now > ch.lastUse + p_.powerDownAfter) {
+        // The rank dropped CKE after the idle threshold; pay the exit
+        // latency and book the powered-down interval.
+        wake = p_.tPowerDownExit;
+        ++counters_.powerDownEntries;
+        counters_.powerDownCycles += now - (ch.lastUse + p_.powerDownAfter);
+        OBS_EVENT(trace_, .name = "dram.pd_exit", .cat = "dram", .ph = 'i',
+                  .ts = now, .tid = std::uint32_t(ch_idx));
     }
     const std::uint64_t page =
         addr / (p_.pageBytes * std::uint64_t(p_.nChannels));
@@ -160,80 +142,9 @@ MemorySystem::access(Addr addr, bool write, Cycle now)
     return done - now;
 }
 
-Cycle
-MemorySystem::nextEvent() const
-{
-    if (!eventDriven_)
-        return std::numeric_limits<Cycle>::max();
-    Cycle next = std::numeric_limits<Cycle>::max();
-    for (const Channel &ch : channels_) {
-        if (p_.tRefi > 0)
-            next = std::min(next, ch.nextRefresh);
-        if (p_.powerDown && !ch.poweredDown) {
-            // The idle timer expires strictly after powerDownAfter
-            // idle cycles (the lazy check is `now > lastUse + after`).
-            next = std::min(next,
-                            ch.lastUse + p_.powerDownAfter + 1);
-        }
-    }
-    return next;
-}
-
-void
-MemorySystem::fireEventsUpTo(Cycle t)
-{
-    if (!eventDriven_)
-        return;
-    for (;;) {
-        Cycle when = std::numeric_limits<Cycle>::max();
-        int idx = -1;
-        bool is_refresh = false;
-        for (std::size_t i = 0; i < channels_.size(); ++i) {
-            const Channel &ch = channels_[i];
-            if (p_.tRefi > 0 && ch.nextRefresh < when) {
-                when = ch.nextRefresh;
-                idx = int(i);
-                is_refresh = true;
-            }
-            if (p_.powerDown && !ch.poweredDown) {
-                const Cycle entry =
-                    ch.lastUse + p_.powerDownAfter + 1;
-                if (entry < when) {
-                    when = entry;
-                    idx = int(i);
-                    is_refresh = false;
-                }
-            }
-        }
-        if (idx < 0 || when > t)
-            return;
-        Channel &ch = channels_[std::size_t(idx)];
-        if (is_refresh) {
-            refreshUpTo(ch, idx, when);
-        } else {
-            ch.poweredDown = true;
-            ch.pdSince = when - 1; // == lastUse + powerDownAfter
-            ++counters_.powerDownEntries;
-            OBS_EVENT(trace_, .name = "dram.pd_enter", .cat = "dram",
-                      .ph = 'i', .ts = ch.pdSince,
-                      .tid = std::uint32_t(idx));
-        }
-    }
-}
-
 void
 MemorySystem::finish(Cycle end)
 {
-    if (eventDriven_) {
-        fireEventsUpTo(end);
-        for (Channel &ch : channels_) {
-            if (ch.poweredDown) {
-                counters_.powerDownCycles += end - ch.pdSince;
-                ch.pdSince = end;
-            }
-        }
-        return;
-    }
     if (!p_.powerDown)
         return;
     for (Channel &ch : channels_) {

@@ -77,37 +77,9 @@ class MemorySystem
 
     /**
      * Account trailing idle time at the end of the simulation (so the
-     * power-down statistics cover the whole run).  In event-driven
-     * mode, pending refreshes and power-down entries up to @p end
-     * fire first.
+     * power-down statistics cover the whole run).
      */
     void finish(Cycle end);
-
-    /**
-     * Event-driven (SimMode::Exact) operation: refreshes and
-     * power-down entries become scheduled events the system loop
-     * fires in time order (nextEvent / fireEventsUpTo) instead of
-     * being checked-per-access side effects.  Off by default: the
-     * lazy catch-up path is what the pinned goldens record (it never
-     * fires refreshes after the last access of a run, and counts a
-     * power-down entry only when a later access observes the idle
-     * gap).
-     */
-    void setEventDriven(bool on) { eventDriven_ = on; }
-
-    /**
-     * Earliest pending scheduled event (next refresh due, or first
-     * cycle a rank's idle timer is observably expired); ~0 when
-     * event-driven mode is off or nothing is pending.
-     */
-    Cycle nextEvent() const;
-
-    /**
-     * Fire every scheduled event at or before @p t in time order
-     * (refresh before power-down entry at equal times, lower channel
-     * first).  No-op when event-driven mode is off.
-     */
-    void fireEventsUpTo(Cycle t);
 
     /**
      * Fraction of channel-time spent powered down over @p total cycles
@@ -142,8 +114,6 @@ class MemorySystem
         bool everActivated = false;
         Cycle lastUse = 0;     ///< for power-down accounting
         Cycle nextRefresh = 0; ///< next refresh due time (tRefi > 0)
-        bool poweredDown = false; ///< event-driven mode only
-        Cycle pdSince = 0;        ///< entry cycle while poweredDown
     };
 
     /** Perform every refresh due by @p t on @p ch (lazy catch-up). */
@@ -152,7 +122,6 @@ class MemorySystem
     DramParams p_;
     std::vector<Channel> channels_;
     DramCounters counters_;
-    bool eventDriven_ = false;
     obs::TraceBuffer *trace_ = nullptr;
     LatencyStats *lat_ = nullptr;
 };

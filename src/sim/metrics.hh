@@ -85,13 +85,6 @@ class EpochRecorder
     }
 
     /**
-     * The cycle at which the current epoch becomes due — the exact
-     * boundary an event-driven loop closes it at when a time jump
-     * crosses it (SimMode::Exact), rather than at the landing cycle.
-     */
-    Cycle nextBoundary() const { return epochStart_ + interval_; }
-
-    /**
      * Close the current epoch at @p now with the given cumulative
      * totals.  Empty epochs (now == epoch start) are skipped.
      */

@@ -268,12 +268,14 @@ FaultPlan::canonical() const
 
 std::string
 sweepFingerprint(std::uint64_t instr_per_thread, Cycle epoch_cycles,
-                 bool exact_events, bool thermal, Cycle max_cycles)
+                 bool thermal, Cycle max_cycles)
 {
     std::string s = "cactid-sweep-v1";
     s += "|instr=" + std::to_string(instr_per_thread);
     s += "|epoch=" + std::to_string(epoch_cycles);
-    s += "|exact=" + std::to_string(exact_events ? 1 : 0);
+    // A retired option (one event semantics remains); kept so that
+    // checkpoint directories written with it still resume.
+    s += "|exact=0";
     s += "|thermal=" + std::to_string(thermal ? 1 : 0);
     s += "|maxcycles=" + std::to_string(max_cycles);
     return s;

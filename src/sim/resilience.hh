@@ -172,8 +172,8 @@ struct FaultPlan {
  * neither changes the bytes of an Ok run.
  */
 std::string sweepFingerprint(std::uint64_t instr_per_thread,
-                             Cycle epoch_cycles, bool exact_events,
-                             bool thermal, Cycle max_cycles);
+                             Cycle epoch_cycles, bool thermal,
+                             Cycle max_cycles);
 
 /**
  * Per-run atomic checkpoint store: one `run-<hash>.ckpt` record per

@@ -123,9 +123,6 @@ StudyRunner::execute(const std::string &config,
     LatencyStats lat;
     if (opts_.latencyHistograms)
         sys.setLatency(&lat);
-    const SimMode mode =
-        opts_.exactEvents ? SimMode::Exact : SimMode::Golden;
-
     *ph = "sim";
     RunLimits limits;
     limits.maxCycles = opts_.maxCycles;
@@ -139,10 +136,10 @@ StudyRunner::execute(const std::string &config,
     }
     if (opts_.epochCycles > 0) {
         EpochRecorder rec(opts_.epochCycles);
-        r.stats = sys.run(&rec, mode, limits);
+        r.stats = sys.run(&rec, limits);
         r.epochs = rec.take();
     } else {
-        r.stats = sys.run(nullptr, mode, limits);
+        r.stats = sys.run(nullptr, limits);
     }
     if (opts_.trace) {
         r.traceDropped = trace.dropped(); // take() resets the count
@@ -271,8 +268,7 @@ std::string
 StudyRunner::fingerprint() const
 {
     std::string fp = sweepFingerprint(instr_, opts_.epochCycles,
-                                      opts_.exactEvents, opts_.thermal,
-                                      opts_.maxCycles);
+                                      opts_.thermal, opts_.maxCycles);
     // Many-core / directory knobs join the fingerprint only when set,
     // so checkpoints of default-geometry sweeps keep their old keys.
     const SparseDirParams def;
@@ -535,10 +531,8 @@ exportEpochsCsv(std::ostream &os, const std::vector<RunResult> &runs)
 }
 
 void
-exportTraceJson(std::ostream &os, const std::vector<RunResult> &runs,
-                const StudyRunner &runner)
+exportTraceJson(std::ostream &os, const std::vector<RunResult> &runs)
 {
-    (void)runner;
     cactid::obs::TraceMeta meta;
     std::vector<cactid::obs::TraceEvent> events;
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -634,10 +628,8 @@ buildRunRegistries(
 } // namespace
 
 void
-exportRegistry(std::ostream &os, const std::vector<RunResult> &runs,
-               const StudyRunner &runner)
+exportRegistry(std::ostream &os, const std::vector<RunResult> &runs)
 {
-    (void)runner;
     std::vector<cactid::obs::Registry> regs;
     std::vector<std::pair<std::string, const cactid::obs::Registry *>>
         items;
@@ -646,10 +638,8 @@ exportRegistry(std::ostream &os, const std::vector<RunResult> &runs,
 }
 
 void
-exportOpenMetrics(std::ostream &os, const std::vector<RunResult> &runs,
-                  const StudyRunner &runner)
+exportOpenMetrics(std::ostream &os, const std::vector<RunResult> &runs)
 {
-    (void)runner;
     std::vector<cactid::obs::Registry> regs;
     std::vector<std::pair<std::string, const cactid::obs::Registry *>>
         items;

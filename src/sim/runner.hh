@@ -88,14 +88,6 @@ struct RunnerOptions {
     /** Epoch sampling interval in CPU cycles; 0 disables sampling. */
     Cycle epochCycles = 0;
 
-    /**
-     * Run the simulations in SimMode::Exact: epochs close at exact
-     * boundary cycles and DRAM refresh / power-down transitions fire
-     * as scheduled events.  Default off — golden captures pin the
-     * SimMode::Golden byte stream (see sim/cpu/system.hh).
-     */
-    bool exactEvents = false;
-
     /** Solve the stack temperature (per run and per epoch). */
     bool thermal = true;
     ThermalParams thermalParams;
@@ -326,16 +318,14 @@ void exportSummaryCsv(std::ostream &os,
  * identical for any `jobs` setting.
  */
 void exportTraceJson(std::ostream &os,
-                     const std::vector<RunResult> &runs,
-                     const StudyRunner &runner);
+                     const std::vector<RunResult> &runs);
 
 /**
  * Dump every run's counters as one "cactid-obs-v1" registry document
  * (one registry per run, labeled "workload/config").
  */
 void exportRegistry(std::ostream &os,
-                    const std::vector<RunResult> &runs,
-                    const StudyRunner &runner);
+                    const std::vector<RunResult> &runs);
 
 /**
  * The same registries as exportRegistry in the OpenMetrics text
@@ -344,8 +334,7 @@ void exportRegistry(std::ostream &os,
  * carry a run="workload/config" label.
  */
 void exportOpenMetrics(std::ostream &os,
-                       const std::vector<RunResult> &runs,
-                       const StudyRunner &runner);
+                       const std::vector<RunResult> &runs);
 
 } // namespace archsim
 

@@ -288,14 +288,6 @@ TEST(CoherenceStress, ExplicitBroadcastBeyondFilterWidth)
     ASSERT_TRUE(h.snoopFilterConsistent());
 }
 
-TEST(CoherenceStress, ExplicitSnoopBeyondFilterWidthThrows)
-{
-    HierarchyParams hp = stressSystem(false);
-    hp.nCores = SnoopFilter::kMaxCores + 1;
-    hp.dirMode = DirectoryMode::Snoop;
-    EXPECT_THROW(CacheHierarchy h(hp), std::invalid_argument);
-}
-
 /** A deliberately tiny directory so evictions and overflow both fire. */
 SparseDirParams
 tinyDir()

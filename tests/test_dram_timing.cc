@@ -184,93 +184,6 @@ TEST(DramTiming, PowerDownDisabledCountsNothing)
     EXPECT_DOUBLE_EQ(mem.poweredDownFraction(100000), 0.0);
 }
 
-// --- SimMode::Exact event scheduling (setEventDriven).  The physics
-// must match the lazy tests above cycle for cycle; only *when* the
-// bookkeeping happens moves (to the scheduled event time).
-
-TEST(DramEvents, NextEventTracksRefreshAndPowerDownTimers)
-{
-    DramParams p = testParams();
-    p.tRefi = 1000;
-    p.tRfc = 120;
-    p.powerDown = true;
-    p.powerDownAfter = 60;
-    MemorySystem mem(p);
-    mem.setEventDriven(true);
-    // Fresh machine: the idle timer (from lastUse = 0) expires before
-    // the first refresh.  The lazy check is `now > lastUse + after`,
-    // so the earliest observing cycle is 61.
-    EXPECT_EQ(mem.nextEvent(), 61u);
-    mem.access(kBank0Row0, false, 0); // channel busy until 73
-    EXPECT_EQ(mem.nextEvent(), 134u); // 73 + 60 + 1
-    mem.fireEventsUpTo(134);
-    EXPECT_EQ(mem.counters().powerDownEntries, 1u);
-    // Powered down: only the refresh timer remains pending.
-    EXPECT_EQ(mem.nextEvent(), 1000u);
-}
-
-TEST(DramEvents, RefreshFiresEagerlyDuringIdleGaps)
-{
-    DramParams p = testParams();
-    p.tRefi = 1000;
-    p.tRfc = 120;
-    MemorySystem mem(p);
-    mem.setEventDriven(true);
-    mem.access(kBank0Row0, false, 0);
-    EXPECT_EQ(mem.counters().refreshes, 0u);
-    // The simulation clock jumps over five refresh boundaries while
-    // every core is stalled: each refresh fires at its exact tRefi
-    // multiple instead of waiting for the next access.
-    mem.fireEventsUpTo(5500);
-    EXPECT_EQ(mem.counters().refreshes, 5u);
-    EXPECT_EQ(mem.nextEvent(), 6000u);
-    // The access after the gap sees the same machine state as the
-    // lazy path would: the all-bank refresh closed the row, so this
-    // is a full 73-cycle activate, not a row hit.
-    EXPECT_EQ(mem.access(kBank0Row0, false, 5500), 73u);
-    EXPECT_EQ(mem.counters().rowHits, 0u);
-}
-
-TEST(DramEvents, PowerDownEntryScheduledAtTimerExpiry)
-{
-    DramParams p = testParams();
-    p.powerDown = true;
-    p.powerDownAfter = 60;
-    p.tPowerDownExit = 12;
-    MemorySystem mem(p);
-    mem.setEventDriven(true);
-    EXPECT_EQ(mem.access(kBank0Row0, false, 0), 73u);
-    // CKE drops at 133 (lastUse + powerDownAfter); the scheduled
-    // entry event lands at 134, the first cycle the lazy check would
-    // observe it.  The entry is counted at entry time, not when a
-    // later access wakes the rank.
-    EXPECT_EQ(mem.nextEvent(), 134u);
-    mem.fireEventsUpTo(134);
-    EXPECT_EQ(mem.counters().powerDownEntries, 1u);
-    EXPECT_EQ(mem.counters().powerDownCycles, 0u); // booked at exit
-    // Same wake penalty and interval accounting as the lazy
-    // PowerDownExitPenalty test: 8 + 12 + 30 + 5 = 55.
-    EXPECT_EQ(mem.access(kBank0Row0, false, 200), 55u);
-    EXPECT_EQ(mem.counters().powerDownEntries, 1u);
-    EXPECT_EQ(mem.counters().powerDownCycles, 67u); // 200 - 133
-}
-
-TEST(DramEvents, FinishAccountsTrailingPoweredDownTail)
-{
-    DramParams p = testParams();
-    p.powerDown = true;
-    p.powerDownAfter = 60;
-    MemorySystem mem(p);
-    mem.setEventDriven(true);
-    mem.access(kBank0Row0, false, 0); // idle from 73, CKE drop at 133
-    mem.finish(1133);
-    // Identical numbers to the lazy PowerDownFractionCoversTrailingIdle
-    // test, but the entry fires as an event inside finish().
-    EXPECT_EQ(mem.counters().powerDownEntries, 1u);
-    EXPECT_EQ(mem.counters().powerDownCycles, 1000u);
-    EXPECT_DOUBLE_EQ(mem.poweredDownFraction(2000), 0.5);
-}
-
 TEST(DramEvents, StalledCoresJumpOverRefreshBoundariesIdentically)
 {
     // Every thread is a chain of cold DRAM misses, so the scheduler's

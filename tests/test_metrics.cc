@@ -142,11 +142,8 @@ namespace {
  * jump rather than on a visited cycle.
  */
 System
-stallSkipper(Cycle refi = 0)
+stallSkipper()
 {
-    HierarchyParams hp;
-    hp.dram.tRefi = refi;
-    hp.dram.tRfc = refi ? 30 : 0;
     WorkloadParams w;
     w.name = "stallskip";
     w.memFrac = 1.0;
@@ -155,16 +152,16 @@ stallSkipper(Cycle refi = 0)
     w.alpha = 1.0;
     w.wsBytes = 4 << 20;
     w.barrierEvery = 0;
-    return System(hp, w, 200, 1, 1);
+    return System(HierarchyParams{}, w, 200, 1, 1);
 }
 
 } // namespace
 
 TEST(EpochRecorder, BoundaryInsideASkipClosesAtLandingCycleInGolden)
 {
-    // SimMode::Golden pins the historical byte stream: a boundary
-    // crossed mid-jump closes at the landing cycle, exactly as the
-    // reference loop does.  The two sample streams must be identical.
+    // The pinned goldens record this: a boundary crossed mid-jump
+    // closes at the landing cycle, exactly as the reference loop
+    // does.  The two sample streams must be identical.
     const Cycle interval = 256;
     System ev = stallSkipper();
     System ref = stallSkipper();
@@ -188,63 +185,4 @@ TEST(EpochRecorder, BoundaryInsideASkipClosesAtLandingCycleInGolden)
     // At least one boundary actually fell inside a jump (otherwise
     // this test exercises nothing).
     EXPECT_TRUE(off_boundary);
-}
-
-TEST(EpochRecorder, ExactModeClosesEveryEpochOnItsBoundary)
-{
-    // SimMode::Exact schedules the boundary as an event: every full
-    // epoch is exactly `interval` cycles even when the clock jumps
-    // over the boundary.  Totals (instructions, end cycle) still
-    // match Golden — only the attribution of deltas to epochs moves.
-    const Cycle interval = 256;
-    System ex = stallSkipper();
-    System go = stallSkipper();
-    EpochRecorder ra(interval);
-    EpochRecorder rb(interval);
-    const SimStats a = ex.run(&ra, SimMode::Exact);
-    const SimStats b = go.run(&rb, SimMode::Golden);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    ASSERT_GE(ra.samples().size(), 10u);
-    std::uint64_t instr = 0;
-    Cycle prev_end = 0;
-    for (std::size_t i = 0; i < ra.samples().size(); ++i) {
-        const EpochSample &e = ra.samples()[i];
-        EXPECT_EQ(e.beginCycle, prev_end);
-        if (i + 1 < ra.samples().size()) {
-            EXPECT_EQ(e.endCycle, Cycle(i + 1) * interval)
-                << "epoch " << i;
-        }
-        prev_end = e.endCycle;
-        instr += e.instructions;
-    }
-    EXPECT_EQ(prev_end, a.cycles);
-    EXPECT_EQ(instr, a.instructions);
-}
-
-TEST(EpochRecorder, ExactModeBoundariesWithRefreshEventsInterleave)
-{
-    // Both DRAM refreshes and epoch boundaries are scheduled events;
-    // crossing several of each in one jump must close epochs at exact
-    // boundaries while the refresh counters stay physical (same total
-    // refreshes as the golden run).
-    const Cycle interval = 200;
-    System ex = stallSkipper(90);
-    System go = stallSkipper(90);
-    EpochRecorder ra(interval);
-    EpochRecorder rb(interval);
-    const SimStats a = ex.run(&ra, SimMode::Exact);
-    const SimStats b = go.run(&rb, SimMode::Golden);
-    EXPECT_GT(a.dram.refreshes, 0u);
-    EXPECT_EQ(a.cycles, b.cycles);
-    // Exact mode also fires refreshes that fall due in the idle tail
-    // between the last DRAM access and the end of the run; the lazy
-    // path only ever observes a refresh at the next access, so Exact
-    // may count a refresh or two more — never fewer.
-    EXPECT_GE(a.dram.refreshes, b.dram.refreshes);
-    EXPECT_LE(a.dram.refreshes - b.dram.refreshes, 2u);
-    for (std::size_t i = 0; i + 1 < ra.samples().size(); ++i) {
-        EXPECT_EQ(ra.samples()[i].endCycle, Cycle(i + 1) * interval)
-            << "epoch " << i;
-    }
 }

@@ -323,7 +323,7 @@ tracedSweepJson(const Study &study, int jobs)
     const StudyRunner runner(study,
                              ObsStudyTest::tracedSweep(jobs));
     std::ostringstream os;
-    exportTraceJson(os, runner.runAll(), runner);
+    exportTraceJson(os, runner.runAll());
     return os.str();
 }
 

@@ -181,6 +181,46 @@ TEST(ConfigParser, RejectsBadEnum)
     EXPECT_THROW(tools::parseConfig(in3), std::invalid_argument);
 }
 
+TEST(ConfigParser, NumbersMustBeWholeValues)
+{
+    // A malformed number names its line and key.  None is cut short
+    // (4x as 4, 64.9 as 64), escapes as a bare stoi/stod error, or
+    // reaches the solver as nan or inf.
+    const struct {
+        const char *text;
+        const char *error;
+    } cases[] = {
+        {"size = 1M\nassociativity = 4x\n",
+         "line 2: associativity needs an integer (got 4x)"},
+        {"block = 64.9\n", "line 1: block needs an integer (got 64.9)"},
+        {"associativity = 99999999999\n",
+         "line 1: associativity needs an integer (got 99999999999)"},
+        {"associativity = abc\n",
+         "line 1: associativity needs an integer (got abc)"},
+        {"max_area = 1e999\n",
+         "line 1: max_area needs a finite number (got 1e999)"},
+        {"feature_nm = 32nm\n",
+         "line 1: feature_nm needs a finite number (got 32nm)"},
+        {"weight_area = nan\n",
+         "line 1: weight_area needs a finite number (got nan)"},
+        {"max_acctime = inf\n",
+         "line 1: max_acctime needs a finite number (got inf)"},
+        {"size = 24MB\n",
+         "line 1: size needs a capacity such as 24M (got 24MB)"},
+        {"size = 1e308K\n",
+         "line 1: size needs a capacity such as 24M (got 1e308K)"},
+    };
+    for (const auto &c : cases) {
+        std::istringstream in(c.text);
+        try {
+            tools::parseConfig(in);
+            ADD_FAILURE() << "accepted: " << c.text;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_STREQ(e.what(), c.error);
+        }
+    }
+}
+
 TEST(ConfigParser, CommentsAndBlanksIgnored)
 {
     std::istringstream in(R"(

@@ -436,6 +436,25 @@ TEST_F(ResilienceTest, CheckpointRoundTripIsExact)
     }
 }
 
+TEST_F(ResilienceTest, SweepFingerprintBytesArePinned)
+{
+    // Checkpoint records are keyed by these bytes, so changing them
+    // orphans every checkpoint directory already on disk.  "|exact=0"
+    // is kept although the option it recorded is gone, and "dir=3"
+    // is DirectoryMode::Sparse's value since the first sparse sweep.
+    RunnerOptions o;
+    o.instrPerThread = 3000;
+    o.epochCycles = 20000;
+    EXPECT_EQ(StudyRunner(*study_, o).fingerprint(),
+              "cactid-sweep-v1|instr=3000|epoch=20000|exact=0|"
+              "thermal=1|maxcycles=0");
+    o.nCores = 32;
+    o.dirMode = DirectoryMode::Sparse;
+    EXPECT_EQ(StudyRunner(*study_, o).fingerprint(),
+              "cactid-sweep-v1|instr=3000|epoch=20000|exact=0|"
+              "thermal=1|maxcycles=0|cores=32x0|dir=3:0:8:4");
+}
+
 TEST(ResilienceFormat, EveryFieldRoundTrips)
 {
     const RunResult want = distinctRun();
@@ -765,7 +784,7 @@ TEST_F(ResilienceTest, ResumedManyCoreRegistryMatchesUninterrupted)
     };
     const auto registry = [](const StudyRunner &runner) {
         std::ostringstream os;
-        exportRegistry(os, runner.runAll(), runner);
+        exportRegistry(os, runner.runAll());
         return os.str();
     };
     const std::string dir = tempDir("ckpt_manycore");

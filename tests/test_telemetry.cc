@@ -279,7 +279,7 @@ TEST_F(TelemetryTest, LatencyDisabledByDefault)
         EXPECT_FALSE(r.latEnabled);
 
     std::ostringstream reg, json;
-    exportRegistry(reg, runs, runner);
+    exportRegistry(reg, runs);
     exportJson(json, runs, runner);
     EXPECT_EQ(reg.str().find("sim.lat."), std::string::npos);
     EXPECT_EQ(json.str().find("\"latency\""), std::string::npos);
@@ -293,9 +293,9 @@ TEST_F(TelemetryTest, LatencyExportsIdenticalAcrossJobs)
         const StudyRunner runner(*study_, o);
         const std::vector<RunResult> runs = runner.runAll();
         std::ostringstream reg, json, om;
-        exportRegistry(reg, runs, runner);
+        exportRegistry(reg, runs);
         exportJson(json, runs, runner);
-        exportOpenMetrics(om, runs, runner);
+        exportOpenMetrics(om, runs);
         return reg.str() + "\x1f" + json.str() + "\x1f" + om.str();
     };
     const std::string serial = sweep(1);
@@ -388,7 +388,7 @@ TEST_F(TelemetryTest, TraceDropsSurfaceInRegistryAndWarnOnce)
     ASSERT_GT(dropped, 0u);
 
     std::ostringstream reg;
-    exportRegistry(reg, runs, runner);
+    exportRegistry(reg, runs);
     EXPECT_NE(reg.str().find("\"obs.trace.dropped\""),
               std::string::npos);
 
@@ -396,7 +396,7 @@ TEST_F(TelemetryTest, TraceDropsSurfaceInRegistryAndWarnOnce)
     // process; this is the only exportTraceJson call in this binary).
     ::testing::internal::CaptureStderr();
     std::ostringstream trace;
-    exportTraceJson(trace, runs, runner);
+    exportTraceJson(trace, runs);
     const std::string warning =
         ::testing::internal::GetCapturedStderr();
     EXPECT_NE(warning.find("trace ring dropped"), std::string::npos)

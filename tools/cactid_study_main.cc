@@ -56,10 +56,6 @@ printHelp()
         "  --csv FILE         write per-epoch metrics CSV (- for stdout)\n"
         "  --summary-csv FILE write per-run aggregate CSV (- for stdout)\n"
         "  --no-thermal       skip stack-temperature solves\n"
-        "  --exact-events     close epochs at exact boundary cycles\n"
-        "                     and fire DRAM refresh/power-down as\n"
-        "                     scheduled events (output is NOT\n"
-        "                     comparable to the pinned goldens)\n"
         "  --table3           print the Table-3 projections first\n"
         "  --quiet            suppress the aggregate table\n"
         "  --trace FILE       write simulator events as Chrome trace\n"
@@ -108,9 +104,9 @@ printHelp()
         "                     the sparse directory with a warning)\n"
         "  --threads-per-core N\n"
         "                     hardware threads per core (default 4)\n"
-        "  --dir-mode MODE    sharer tracking: auto (default), snoop\n"
-        "                     (exact filter, <=16 cores), broadcast,\n"
-        "                     or sparse (limited-pointer directory)\n"
+        "  --dir-mode MODE    sharer tracking: auto (default),\n"
+        "                     broadcast, or sparse (limited-pointer\n"
+        "                     directory)\n"
         "  --dir-sets N       sparse-directory sets (power of two;\n"
         "                     0 = auto-size to 2x the L2 lines)\n"
         "  --dir-assoc N      sparse-directory ways per set (default 8)\n"
@@ -164,7 +160,6 @@ struct CliArgs {
     bool resume = false;
     bool profile = false;
     bool thermal = true;
-    bool exactEvents = false;
     bool table3 = false;
     bool quiet = false;
     bool version = false;
@@ -247,8 +242,6 @@ parseArgs(int argc, char **argv)
             a.version = true;
         else if (f.is("--no-thermal"))
             a.thermal = false;
-        else if (f.is("--exact-events"))
-            a.exactEvents = true;
         else if (f.is("--table3"))
             a.table3 = true;
         else if (f.is("--quiet"))
@@ -271,10 +264,10 @@ parseArgs(int argc, char **argv)
         f.fail("--telemetry-interval needs a value >= 1");
     if (a.retry < 1)
         f.fail("--retry needs a value >= 1");
-    if (a.dirMode != "auto" && a.dirMode != "snoop" &&
-        a.dirMode != "broadcast" && a.dirMode != "sparse")
-        f.fail("--dir-mode must be auto, snoop, broadcast or sparse "
-               "(got " + a.dirMode + ")");
+    if (a.dirMode != "auto" && a.dirMode != "broadcast" &&
+        a.dirMode != "sparse")
+        f.fail("--dir-mode must be auto, broadcast or sparse (got " +
+               a.dirMode + ")");
     if (a.cores < 0)
         f.fail("--cores needs a value >= 1");
     if (a.dirSets != 0 && (a.dirSets & (a.dirSets - 1)) != 0)
@@ -282,9 +275,6 @@ parseArgs(int argc, char **argv)
                std::to_string(a.dirSets) + ")");
     if (a.dirAssoc < 1 || a.dirPointers < 1)
         f.fail("--dir-assoc and --dir-pointers need values >= 1");
-    if (a.dirMode == "snoop" && a.cores > 16)
-        f.fail("--dir-mode snoop tracks at most 16 cores (--cores " +
-               std::to_string(a.cores) + "); use sparse");
     a.ok = f.ok();
     return a;
 }
@@ -365,7 +355,6 @@ main(int argc, char **argv)
         opts.instrPerThread = args.instr;
         opts.epochCycles = args.epoch;
         opts.thermal = args.thermal;
-        opts.exactEvents = args.exactEvents;
         opts.configs = splitList(args.configs);
         opts.workloads = splitList(args.workloads);
         opts.trace = !args.tracePath.empty();
@@ -391,9 +380,7 @@ main(int argc, char **argv)
         opts.maxWallMs = args.maxWallMs;
         opts.nCores = args.cores;
         opts.threadsPerCore = args.threadsPerCore;
-        if (args.dirMode == "snoop")
-            opts.dirMode = DirectoryMode::Snoop;
-        else if (args.dirMode == "broadcast")
+        if (args.dirMode == "broadcast")
             opts.dirMode = DirectoryMode::Broadcast;
         else if (args.dirMode == "sparse")
             opts.dirMode = DirectoryMode::Sparse;
@@ -482,17 +469,17 @@ main(int argc, char **argv)
                 });
         if (!args.tracePath.empty())
             io_ok &= withStream(kTool, args.tracePath, [&](std::ostream &os) {
-                exportTraceJson(os, runs, runner);
+                exportTraceJson(os, runs);
             });
         if (!args.registryPath.empty())
             io_ok &=
                 withStream(kTool, args.registryPath, [&](std::ostream &os) {
-                    exportRegistry(os, runs, runner);
+                    exportRegistry(os, runs);
                 });
         if (!args.openMetricsPath.empty())
             io_ok &=
                 withStream(kTool, args.openMetricsPath, [&](std::ostream &os) {
-                    exportOpenMetrics(os, runs, runner);
+                    exportOpenMetrics(os, runs);
                 });
         if (args.profile) {
             cactid::obs::writeProfileSummary(

@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.hh"
 
 namespace cactid::tools {
 
@@ -58,14 +61,13 @@ parseTech(const std::string &v, int line_no)
                                 ": unknown technology '" + v + "'");
 }
 
-} // namespace
-
-double
-parseCapacity(const std::string &text)
+/** parseCapacity's value, or false when @p text is not a capacity. */
+bool
+capacityValue(const std::string &text, double &out)
 {
     std::string t = trim(text);
     if (t.empty())
-        throw std::invalid_argument("empty capacity");
+        return false;
     double mult = 1.0;
     switch (std::tolower(static_cast<unsigned char>(t.back()))) {
       case 'k': mult = 1024.0; break;
@@ -75,11 +77,21 @@ parseCapacity(const std::string &text)
     }
     if (mult != 1.0)
         t.pop_back();
-    std::size_t used = 0;
-    const double base = std::stod(t, &used);
-    if (used != t.size())
+    if (!util::parseNumber(t, out))
+        return false;
+    out *= mult;
+    return std::isfinite(out);
+}
+
+} // namespace
+
+double
+parseCapacity(const std::string &text)
+{
+    double bytes = 0.0;
+    if (!capacityValue(text, bytes))
         throw std::invalid_argument("bad capacity '" + text + "'");
-    return base * mult;
+    return bytes;
 }
 
 MemoryConfig
@@ -112,11 +124,29 @@ parseConfig(std::istream &in, SolverOptions *opts)
                                         ": empty value for " + key);
         }
 
-        auto num = [&] { return std::stod(value); };
-        auto integer = [&] { return std::stoi(value); };
+        const auto bad = [&](const char *what) {
+            throw std::invalid_argument("line " + std::to_string(line_no) +
+                                        ": " + key + " needs " + what +
+                                        " (got " + value + ")");
+        };
+        // nan and inf parse as doubles but are no design parameter; a
+        // nan weight would leave the optimizer without a best solution.
+        const auto num = [&] {
+            double v = 0.0;
+            if (!util::parseNumber(value, v) || !std::isfinite(v))
+                bad("a finite number");
+            return v;
+        };
+        const auto integer = [&] {
+            int v = 0;
+            if (!util::parseNumber(value, v))
+                bad("an integer");
+            return v;
+        };
 
         if (key == "size") {
-            cfg.capacityBytes = parseCapacity(value);
+            if (!capacityValue(value, cfg.capacityBytes))
+                bad("a capacity such as 24M");
         } else if (key == "block") {
             cfg.blockBytes = integer();
         } else if (key == "associativity") {
