@@ -329,7 +329,7 @@ main(int argc, char **argv)
     // --- 32-core study capture: byte-identity on the sparse path. ---
     // One pinned 32-core configuration against its golden capture:
     // the sparse directory's simulated behaviour is frozen the same
-    // way the <=16-core goldens freeze the exact filter's.
+    // way the <=16-core goldens freeze broadcast snooping's.
     bool ok32 = true;
     {
         std::string g32_json, g32_csv;

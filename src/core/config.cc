@@ -57,6 +57,14 @@ MemoryConfig::validate() const
     require(maxAreaConstraint >= 0.0, "max area constraint negative");
     require(maxAccTimeConstraint >= 0.0, "max acctime constraint negative");
     require(repeaterDerate >= 1.0, "repeater derate must be >= 1");
+    // A non-finite weight makes every objective nan or inf, so no
+    // solution would ever compare best.
+    const OptimizationWeights &w = weights;
+    require(std::isfinite(w.dynamicEnergy) && std::isfinite(w.leakage) &&
+                std::isfinite(w.randomCycle) &&
+                std::isfinite(w.interleaveCycle) &&
+                std::isfinite(w.accessTime) && std::isfinite(w.area),
+            "objective weights must be finite");
     if (type == MemoryType::MainMemoryChip) {
         require(isDram(dataCellTech),
                 "main memory chips must use a DRAM cell technology");

@@ -316,6 +316,10 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
         std::vector<Solution> live = runPipeline(t, rep, shared);
         for (std::size_t gi = 0; gi < group.size(); ++gi) {
             Unique &u = uniq[group[gi]];
+            // runPipeline validated only the group's first config; the
+            // others differ from it only in weights, which selectBest
+            // needs finite.
+            u.cfg->validate();
             const bool last = gi + 1 == group.size();
             u.res.all = last ? std::move(shared.all) : shared.all;
             u.res.stats = shared.stats;

@@ -2,20 +2,17 @@
  * @file
  * MESI cache hierarchy implementation.
  *
- * The snoop filter keeps an exact mirror of L2 line presence, so every
- * L2 mutation below (fills, evictions, invalidations, M transitions)
- * updates the directory in the same statement block.  The protocol
- * decisions, counters, trace events and latencies are identical to the
- * broadcast implementation — the filter only narrows *which* remote
- * L2s get probed, and every core it names is probed in ascending id
- * order, matching the old for-all-cores loop.
+ * When a sparse directory is active, every L2 mutation below (fills,
+ * evictions, invalidations, M transitions) updates it in the same
+ * statement block.  Without one, an L2 miss or write upgrade probes
+ * every remote L2 in ascending core id; the directory's snoop set is
+ * walked in the same order.
  */
 
 #include "sim/cache/coherence.hh"
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -75,25 +72,22 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &p)
                              (p.l2Bytes / std::uint64_t(p.lineBytes));
     switch (p.dirMode) {
       case DirectoryMode::Auto:
-        if (p.nCores <= SnoopFilter::kMaxCores) {
-            snoop_ = std::make_unique<SnoopFilter>(p.nCores, live);
-        } else {
-            // The old behaviour was to fall back to broadcast here,
-            // silently.  Switching protocols implicitly still deserves
-            // a heads-up: once per process, plus a per-run counter.
+        if (p.nCores > kAutoBroadcastCores) {
+            // Switching protocols implicitly deserves a heads-up: once
+            // per process, plus a per-run counter.
             sdir_ = std::make_unique<SparseDirectory>(p.nCores, p.dir,
                                                       live);
             implicitSparse_ = true;
             static std::atomic<bool> warned{false};
             if (!warned.exchange(true)) {
                 std::fprintf(stderr,
-                             "archsim: %d cores exceed the exact "
-                             "snoop filter (16); using a sparse "
-                             "directory (%zu sets x %d ways x %d "
-                             "pointers). Set DirectoryMode explicitly "
-                             "to silence this.\n",
-                             p.nCores, sdir_->sets(), sdir_->assoc(),
-                             sdir_->pointers());
+                             "archsim: %d cores exceed the broadcast "
+                             "limit (%d); using a sparse directory (%zu "
+                             "sets x %d ways x %d pointers). Set "
+                             "DirectoryMode explicitly to silence "
+                             "this.\n",
+                             p.nCores, kAutoBroadcastCores, sdir_->sets(),
+                             sdir_->assoc(), sdir_->pointers());
             }
         }
         break;
@@ -115,8 +109,6 @@ CacheHierarchy::fillL1(SetAssocCache &l1, int core, Addr line, CState st)
         // L1 dirty victim folds into the (inclusive) L2 copy.
         if (SetAssocCache::Line *l = l2_[core].probe(v.addr)) {
             l->setState(CState::Modified);
-            if (snoop_)
-                snoop_->setOwner(v.addr, core);
             if (sdir_)
                 sdir_->setOwner(v.addr, core);
         }
@@ -163,11 +155,6 @@ CacheHierarchy::fillL2(int core, Addr line, CState st, Cycle now)
     if (sdir_)
         sdirAllocate(line, now);
     const SetAssocCache::Victim v = l2_[core].insert(line, st);
-    if (snoop_) {
-        snoop_->addSharer(line, core);
-        if (st == CState::Modified)
-            snoop_->setOwner(line, core);
-    }
     if (sdir_) {
         if (sdir_->addSharer(line, core)) {
             OBS_EVENT(trace_, .name = "dir.overflow", .cat = "dir",
@@ -180,8 +167,6 @@ CacheHierarchy::fillL2(int core, Addr line, CState st, Cycle now)
     }
     if (v.valid) {
         // Inclusion: the L1s may not keep a line the L2 dropped.
-        if (snoop_)
-            snoop_->removeSharer(v.addr, core);
         if (sdir_)
             sdir_->removeSharer(v.addr, core);
         l1i_[core].invalidate(v.addr);
@@ -195,8 +180,6 @@ void
 CacheHierarchy::invalidateCore(int o, Addr line)
 {
     l2_[o].invalidate(line);
-    if (snoop_)
-        snoop_->removeSharer(line, o);
     if (sdir_)
         sdir_->removeSharer(line, o);
     l1i_[o].invalidate(line);
@@ -245,18 +228,7 @@ CacheHierarchy::fetchFromBeyondL2(int core, Addr line, bool write,
             }
         }
     };
-    if (snoop_) {
-        // Only the actual sharers, in ascending core order (the same
-        // order the broadcast loop visited them).  Most misses have an
-        // empty mask and skip remote tag lookups entirely.
-        std::uint32_t mask = snoop_->sharers(line);
-        mask &= ~(1u << core); // the requester just missed
-        while (mask) {
-            const int o = std::countr_zero(mask);
-            mask &= mask - 1;
-            snoopOne(o);
-        }
-    } else if (sdir_) {
+    if (sdir_) {
         // The directory's snoop set: exact pointers normally, every
         // core when the entry overflowed.  Ascending either way.
         sdir_->snoopSet(line, core, snoopScratch_);
@@ -355,9 +327,9 @@ CacheHierarchy::coherent(Addr addr)
 }
 
 bool
-CacheHierarchy::snoopFilterConsistent(Addr addr) const
+CacheHierarchy::directoryConsistent(Addr addr) const
 {
-    if (!snoop_ && !sdir_)
+    if (!sdir_)
         return true;
     const Addr line = l2_[0].lineAddr(addr);
     std::vector<int> holders;
@@ -372,20 +344,12 @@ CacheHierarchy::snoopFilterConsistent(Addr addr) const
                 owner = c;
         }
     }
-    if (snoop_) {
-        std::uint16_t mask = 0;
-        for (int c : holders)
-            mask |= std::uint16_t(1u << c);
-        return snoop_->sharers(line) == mask &&
-               snoop_->owner(line) == owner;
-    }
-    // Sparse directory: exact sharer-set equality (ascending both
-    // sides), owner match, and the representation invariants — a
-    // pointer-mode entry holds at most `pointers` sharers, and an
-    // overflowed entry at least 2 (it demotes back to pointers at 1,
-    // the only point where the hardware learns the set again — so it
-    // may hold fewer than `pointers` sharers after evictions, but
-    // never fewer than 2).
+    // Exact sharer-set equality (ascending both sides), owner match,
+    // and the representation invariants — a pointer-mode entry holds
+    // at most `pointers` sharers, and an overflowed entry at least 2
+    // (it demotes back to pointers at 1, the only point where the
+    // hardware learns the set again — so it may hold fewer than
+    // `pointers` sharers after evictions, but never fewer than 2).
     if (sdir_->sharers(line) != holders)
         return false;
     if (sdir_->owner(line) != owner)
@@ -401,9 +365,9 @@ CacheHierarchy::snoopFilterConsistent(Addr addr) const
 }
 
 bool
-CacheHierarchy::snoopFilterConsistent() const
+CacheHierarchy::directoryConsistent() const
 {
-    if (!snoop_ && !sdir_)
+    if (!sdir_)
         return true;
     // Arrays -> directory: every valid L2 line must be tracked with
     // the right membership (and M implies ownership).
@@ -412,18 +376,11 @@ CacheHierarchy::snoopFilterConsistent() const
     for (int c = 0; c < p_.nCores; ++c) {
         l2_[c].forEachValid([&](Addr line, CState st) {
             ++array_lines;
-            if (snoop_) {
-                if (!(snoop_->sharers(line) & (1u << c)))
-                    ok = false;
-                if (st == CState::Modified && snoop_->owner(line) != c)
-                    ok = false;
-            } else {
-                const std::vector<int> s = sdir_->sharers(line);
-                if (!std::binary_search(s.begin(), s.end(), c))
-                    ok = false;
-                if (st == CState::Modified && sdir_->owner(line) != c)
-                    ok = false;
-            }
+            const std::vector<int> s = sdir_->sharers(line);
+            if (!std::binary_search(s.begin(), s.end(), c))
+                ok = false;
+            if (st == CState::Modified && sdir_->owner(line) != c)
+                ok = false;
         });
     }
     if (!ok)
@@ -431,18 +388,10 @@ CacheHierarchy::snoopFilterConsistent() const
     // Directory -> arrays: every entry rebuilds exactly, and the live
     // sharer count matches the array population (no phantom sharers).
     std::size_t dir_count = 0;
-    if (snoop_) {
-        for (const SnoopFilter::Entry &e : snoop_->entries()) {
-            dir_count += std::popcount(std::uint32_t(e.sharers));
-            if (!snoopFilterConsistent(e.line))
-                return false;
-        }
-    } else {
-        for (const SparseDirectory::Entry &e : sdir_->entries()) {
-            dir_count += e.sharers.size();
-            if (!snoopFilterConsistent(e.line))
-                return false;
-        }
+    for (const SparseDirectory::Entry &e : sdir_->entries()) {
+        dir_count += e.sharers.size();
+        if (!directoryConsistent(e.line))
+            return false;
     }
     return dir_count == array_lines;
 }
@@ -517,8 +466,6 @@ CacheHierarchy::access(int core, Addr addr, bool write, bool ifetch,
         if (!write || writable(l->state())) {
             if (write) {
                 l->setState(CState::Modified);
-                if (snoop_)
-                    snoop_->setOwner(line, core);
                 if (sdir_)
                     sdir_->setOwner(line, core);
             }
@@ -534,15 +481,7 @@ CacheHierarchy::access(int core, Addr addr, bool write, bool ifetch,
                   .ph = 'i', .ts = now, .tid = std::uint32_t(core),
                   .argName = "line", .argValue = line,
                   .argStrName = "from", .argStr = stateName(l->state()));
-        if (snoop_) {
-            std::uint32_t mask = snoop_->sharers(line);
-            mask &= ~(1u << core); // keep the upgrading copy
-            while (mask) {
-                const int o = std::countr_zero(mask);
-                mask &= mask - 1;
-                invalidateCore(o, line);
-            }
-        } else if (sdir_) {
+        if (sdir_) {
             sdir_->snoopSet(line, core, snoopScratch_);
             for (int o : snoopScratch_)
                 invalidateCore(o, line);
@@ -554,8 +493,6 @@ CacheHierarchy::access(int core, Addr addr, bool write, bool ifetch,
         }
         counters_.xbarTransfers += 2;
         l->setState(CState::Modified);
-        if (snoop_)
-            snoop_->setOwner(line, core);
         if (sdir_)
             sdir_->setOwner(line, core);
         fillL1(l1, core, line, CState::Modified);

@@ -6,19 +6,17 @@
  * Private per-core L1 I/D and unified L2 caches; an optional shared
  * banked L3 behind the crossbar; main memory behind that.  Coherence
  * is kept at the L2 level (functionally a full-map directory); L1s
- * are inclusive in their L2 and back-invalidated.  A SnoopFilter
- * shadows the L2 arrays with an exact per-line sharer bitmask and
- * dirty-owner id, so an L2 miss or write upgrade probes only the
- * cores that actually hold the line instead of broadcasting to all of
- * them — the visible protocol behaviour (states, counters, events,
- * latencies) is identical to the broadcast implementation.
+ * are inclusive in their L2 and back-invalidated.  Up to
+ * kAutoBroadcastCores an L2 miss or write upgrade probes every remote
+ * L2 in ascending core id — the broadcast protocol the pinned goldens
+ * were captured from.
  *
- * The filter's 16-bit mask caps it at 16 cores.  Wider systems use a
- * SparseDirectory (limited-pointer entries + overflow bit, LRU sets)
- * selected by HierarchyParams::dirMode; unlike the filter, a sparse
- * directory is a real structure with capacity misses, and evicting a
- * directory entry invalidates its tracked sharers (a protocol-visible
- * difference from broadcast, counted and traced as dir.evict).
+ * Wider systems use a SparseDirectory (limited-pointer entries +
+ * overflow bit, LRU sets) selected by HierarchyParams::dirMode; a
+ * sparse directory is a real structure with capacity misses, and
+ * evicting a directory entry invalidates its tracked sharers (a
+ * protocol-visible difference from broadcast, counted and traced as
+ * dir.evict).
  */
 
 #ifndef ARCHSIM_CACHE_COHERENCE_HH
@@ -30,7 +28,6 @@
 
 #include "sim/cache/cache.hh"
 #include "sim/cache/llc.hh"
-#include "sim/cache/snoopfilter.hh"
 #include "sim/cache/sparsedir.hh"
 #include "sim/common.hh"
 #include "sim/dram/dram.hh"
@@ -55,10 +52,9 @@ struct HierarchyParams {
     DramParams dram;
 
     /**
-     * Sharer tracking (see DirectoryMode).  Auto keeps the exact
-     * SnoopFilter up to 16 cores — byte-identical to the pinned
-     * goldens — and switches to the sparse directory beyond, with a
-     * one-time warning.
+     * Sharer tracking (see DirectoryMode).  Auto broadcasts up to
+     * kAutoBroadcastCores — byte-identical to the pinned goldens — and
+     * switches to the sparse directory beyond, with a one-time warning.
      */
     DirectoryMode dirMode = DirectoryMode::Auto;
     SparseDirParams dir; ///< sparse-directory geometry
@@ -116,33 +112,30 @@ class CacheHierarchy
     bool coherent(Addr addr);
 
     /**
-     * Directory equivalence for one line: the directory's sharer set
-     * and dirty owner must equal what a probe of every core's L2
-     * array rebuilds.  Audits whichever directory is active — the
-     * snoop filter's mask, or the sparse directory's exact sharer
-     * list (plus its representation invariants: overflow implies
-     * more than `pointers` sharers, exact implies at most).  Always
-     * true in Broadcast mode (nothing to audit).
+     * Directory equivalence for one line: the sparse directory's exact
+     * sharer list and dirty owner must equal what a probe of every
+     * core's L2 array rebuilds, and its representation invariants
+     * must hold (overflow implies at least 2 sharers, exact implies at
+     * most `pointers`).  Always true without a directory (nothing to
+     * audit).
      */
-    bool snoopFilterConsistent(Addr addr) const;
+    bool directoryConsistent(Addr addr) const;
 
     /**
      * Full directory audit: every valid L2 line is a directory entry
      * and every directory entry matches the arrays.  O(total L2
      * lines); for the stress tests, never the hot path.
      */
-    bool snoopFilterConsistent() const;
-
-    /** The exact filter (nullptr unless it is the active directory). */
-    const SnoopFilter *snoopFilter() const { return snoop_.get(); }
+    bool directoryConsistent() const;
 
     /** The sparse directory (nullptr unless it is active). */
     const SparseDirectory *sparseDir() const { return sdir_.get(); }
 
     /**
      * True when DirectoryMode::Auto resolved to the sparse directory
-     * (nCores > 16 without an explicit mode) — surfaced as the
-     * sim.dir.implicit_sparse obs counter and a one-time warning.
+     * (nCores > kAutoBroadcastCores without an explicit mode) —
+     * surfaced as the sim.dir.implicit_sparse obs counter and a
+     * one-time warning.
      */
     bool implicitSparse() const { return implicitSparse_; }
 
@@ -196,7 +189,6 @@ class CacheHierarchy
     std::vector<SetAssocCache> l1i_;
     std::vector<SetAssocCache> l1d_;
     std::vector<SetAssocCache> l2_;
-    std::unique_ptr<SnoopFilter> snoop_;
     std::unique_ptr<SparseDirectory> sdir_;
     std::unique_ptr<Llc> llc_;
     MemorySystem mem_;

@@ -37,8 +37,9 @@ SparseDirectory::SparseDirectory(int n_cores, const SparseDirParams &p,
             "SparseDirectory: pointers must be >= 1, got " +
             std::to_string(k_));
     if (sets_ == 0) {
-        // Cover twice the aggregate L2 line count so directory-entry
-        // evictions only happen on pathological set conflicts.
+        // Cover twice the aggregate L2 line count.  Hashed sets still
+        // fill unevenly, so set-conflict evictions remain at this size
+        // (see SparseDirParams::sets).
         std::size_t want = (2 * std::max<std::size_t>(expected_lines, 1) +
                             static_cast<std::size_t>(assoc_) - 1) /
                            static_cast<std::size_t>(assoc_);
@@ -55,7 +56,7 @@ SparseDirectory::SparseDirectory(int n_cores, const SparseDirParams &p,
 std::size_t
 SparseDirectory::hashLine(Addr line)
 {
-    // Same 64-bit finalizer mix the SnoopFilter uses.
+    // 64-bit finalizer mix (MurmurHash3 fmix64).
     std::uint64_t x = line;
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdULL;

@@ -71,8 +71,9 @@ struct RunnerOptions {
 
     /**
      * Cores per simulated system; 0 = the study default (8).  Values
-     * past 16 exceed the exact snoop filter: pick a DirectoryMode, or
-     * Auto will switch to the sparse directory with a warning.
+     * past kAutoBroadcastCores (16) end broadcast snooping: pick a
+     * DirectoryMode, or Auto will switch to the sparse directory with
+     * a warning.
      */
     int nCores = 0;
 

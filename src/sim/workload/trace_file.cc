@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace archsim {
 
@@ -118,6 +119,9 @@ void
 writeTrace(std::ostream &out, const WorkloadParams &params,
            int n_threads, std::uint64_t n)
 {
+    if (n_threads < 1)
+        throw std::invalid_argument("writeTrace: n_threads must be >= 1, "
+                                    "got " + std::to_string(n_threads));
     out << "# archsim trace: " << params.name << ", " << n_threads
         << " threads, " << n << " instructions each\n";
     for (int t = 0; t < n_threads; ++t) {

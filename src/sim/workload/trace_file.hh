@@ -52,6 +52,9 @@ class TraceFile
 /**
  * Record @p n instructions per thread from the synthetic generator of
  * @p params into the trace format.
+ *
+ * @throws std::invalid_argument when @p n_threads < 1 (nothing is
+ * written).
  */
 void writeTrace(std::ostream &out, const WorkloadParams &params,
                 int n_threads, std::uint64_t n);

@@ -60,11 +60,11 @@ stress(bool with_l3, std::uint64_t seed, int accesses, int lines,
         ASSERT_TRUE(h.coherent(addr))
             << "incoherent after access " << i << " core " << core
             << (write ? " write " : " read ") << std::hex << addr;
-        // Snoop-filter equivalence: the directory entry for this line
-        // must equal the sharer mask / dirty owner rebuilt from the L2
+        // Directory equivalence: the directory entry for this line
+        // must equal the sharer set / dirty owner rebuilt from the L2
         // tag arrays.
-        ASSERT_TRUE(h.snoopFilterConsistent(addr))
-            << "snoop filter diverged after access " << i << " core "
+        ASSERT_TRUE(h.directoryConsistent(addr))
+            << "directory diverged after access " << i << " core "
             << core << (write ? " write " : " read ") << std::hex
             << addr;
         if (write) {
@@ -78,7 +78,7 @@ stress(bool with_l3, std::uint64_t seed, int accesses, int lines,
             // directory against the whole set of L2 arrays.
             for (std::size_t k = 0; k < touched.size(); k += 17)
                 ASSERT_TRUE(h.coherent(touched[k]));
-            ASSERT_TRUE(h.snoopFilterConsistent())
+            ASSERT_TRUE(h.directoryConsistent())
                 << "full directory audit failed after access " << i;
         }
     }
@@ -198,13 +198,13 @@ propertyStress(bool with_l3, std::uint64_t seed, int accesses,
             }
         }
         ASSERT_TRUE(h.coherent(addr));
-        ASSERT_TRUE(h.snoopFilterConsistent(addr))
-            << "snoop filter diverged, access " << i;
+        ASSERT_TRUE(h.directoryConsistent(addr))
+            << "directory diverged, access " << i;
         if (i % 128 == 0) {
-            ASSERT_TRUE(h.snoopFilterConsistent());
+            ASSERT_TRUE(h.directoryConsistent());
         }
     }
-    ASSERT_TRUE(h.snoopFilterConsistent())
+    ASSERT_TRUE(h.directoryConsistent())
         << "final full directory audit failed";
 }
 
@@ -225,16 +225,15 @@ TEST(CoherenceProperties, SingleLineContention)
 
 TEST(CoherenceStress, AutoModeBeyondFilterWidthUsesSparseDirectory)
 {
-    // Wider than the exact filter supports with no explicit directory
-    // mode: the hierarchy must NOT silently drop to broadcast — it
-    // builds a sparse directory, flags the implicit fallback (surfaced
-    // as sim.dir.implicit_sparse plus a one-time stderr warning), and
+    // Wider than Auto broadcasts with no explicit directory mode: the
+    // hierarchy must NOT silently keep broadcasting — it builds a
+    // sparse directory, flags the implicit fallback (surfaced as
+    // sim.dir.implicit_sparse plus a one-time stderr warning), and
     // stays coherent.
-    constexpr int kCores = SnoopFilter::kMaxCores + 1;
+    constexpr int kCores = kAutoBroadcastCores + 1;
     HierarchyParams hp = stressSystem(true);
     hp.nCores = kCores;
     CacheHierarchy h(hp);
-    ASSERT_EQ(h.snoopFilter(), nullptr);
     ASSERT_NE(h.sparseDir(), nullptr);
     ASSERT_TRUE(h.implicitSparse());
 
@@ -247,25 +246,24 @@ TEST(CoherenceStress, AutoModeBeyondFilterWidthUsesSparseDirectory)
         const auto r = h.access(core, addr, write, false, now);
         now += r.latency + 1;
         ASSERT_TRUE(h.coherent(addr)) << "access " << i;
-        ASSERT_TRUE(h.snoopFilterConsistent(addr)) << "access " << i;
+        ASSERT_TRUE(h.directoryConsistent(addr)) << "access " << i;
         if (write) {
             ASSERT_TRUE(writable(h.l2State(core, addr)))
                 << "writer lacks ownership, access " << i;
         }
     }
-    ASSERT_TRUE(h.snoopFilterConsistent());
+    ASSERT_TRUE(h.directoryConsistent());
 }
 
 TEST(CoherenceStress, ExplicitBroadcastBeyondFilterWidth)
 {
-    // Opting into broadcast explicitly is still allowed: no filter, no
-    // directory, no implicit-fallback flag — and still coherent.
-    constexpr int kCores = SnoopFilter::kMaxCores + 1;
+    // Opting into broadcast explicitly is still allowed: no directory,
+    // no implicit-fallback flag — and still coherent.
+    constexpr int kCores = kAutoBroadcastCores + 1;
     HierarchyParams hp = stressSystem(true);
     hp.nCores = kCores;
     hp.dirMode = DirectoryMode::Broadcast;
     CacheHierarchy h(hp);
-    ASSERT_EQ(h.snoopFilter(), nullptr);
     ASSERT_EQ(h.sparseDir(), nullptr);
     ASSERT_FALSE(h.implicitSparse());
 
@@ -278,14 +276,31 @@ TEST(CoherenceStress, ExplicitBroadcastBeyondFilterWidth)
         const auto r = h.access(core, addr, write, false, now);
         now += r.latency + 1;
         ASSERT_TRUE(h.coherent(addr)) << "access " << i;
-        // Trivially true without a filter, but must not crash.
-        ASSERT_TRUE(h.snoopFilterConsistent(addr));
+        // Trivially true without a directory, but must not crash.
+        ASSERT_TRUE(h.directoryConsistent(addr));
         if (write) {
             ASSERT_TRUE(writable(h.l2State(core, addr)))
                 << "writer lacks ownership, access " << i;
         }
     }
-    ASSERT_TRUE(h.snoopFilterConsistent());
+    ASSERT_TRUE(h.directoryConsistent());
+}
+
+TEST(CoherenceStress, AutoModeAtBroadcastLimitBroadcasts)
+{
+    // The other side of the threshold: at kAutoBroadcastCores Auto
+    // builds no directory and raises no implicit-sparse flag — every
+    // L2 miss probes all remote L2s — and MESI still holds.
+    HierarchyParams hp = stressSystem(true);
+    hp.nCores = kAutoBroadcastCores;
+    const CacheHierarchy h(hp);
+    ASSERT_EQ(h.sparseDir(), nullptr);
+    ASSERT_FALSE(h.implicitSparse());
+
+    ASSERT_NO_FATAL_FAILURE(
+        stress(true, 0x16C0, 3000, 64, kAutoBroadcastCores));
+    ASSERT_NO_FATAL_FAILURE(
+        propertyStress(false, 0x165D, 3000, 48, kAutoBroadcastCores));
 }
 
 /** A deliberately tiny directory so evictions and overflow both fire. */

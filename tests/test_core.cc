@@ -5,6 +5,8 @@
  */
 
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +63,32 @@ TEST(Config, RejectsNonsense)
     c = cacheConfig(1 << 20);
     c.repeaterDerate = 0.5;
     EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsNonFiniteWeights)
+{
+    double OptimizationWeights::*const fields[] = {
+        &OptimizationWeights::dynamicEnergy,
+        &OptimizationWeights::leakage,
+        &OptimizationWeights::randomCycle,
+        &OptimizationWeights::interleaveCycle,
+        &OptimizationWeights::accessTime,
+        &OptimizationWeights::area,
+    };
+    const double bad[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+    for (std::size_t f = 0; f < std::size(fields); ++f) {
+        for (double v : bad) {
+            MemoryConfig c = cacheConfig(1 << 20);
+            c.weights.*fields[f] = v;
+            try {
+                c.validate();
+                ADD_FAILURE() << "weight " << f << " = " << v
+                              << " was accepted";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_STREQ(e.what(), "objective weights must be finite");
+            }
+        }
+    }
 }
 
 TEST(Config, MainMemoryMustBeDram)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -879,6 +880,18 @@ TEST(SolveBatch, InvalidRequestFailsTheBatch)
     // serve front end) fall back to independent run() calls.
     EXPECT_ANY_THROW(
         (void)engine.solveBatch({sramCache(), invalid}));
+}
+
+TEST(SolveBatch, NonFiniteWeightInShareGroupFailsTheBatch)
+{
+    // A weight-only variant rides its group's pipeline, which only the
+    // group's first config enters, so its own weights need their own
+    // check before its objective pass.
+    MemoryConfig bad = sramCache();
+    bad.weights.area = std::nan("");
+    const SolverEngine engine{SolverOptions{}};
+    EXPECT_THROW((void)engine.solveBatch({sramCache(), bad}),
+                 std::invalid_argument);
 }
 
 } // namespace

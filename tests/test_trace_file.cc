@@ -76,6 +76,18 @@ TEST(TraceFile, WriteThenLoadRoundTrip)
         EXPECT_EQ(t.thread(i).size(), 500u);
 }
 
+TEST(TraceFile, WriteRejectsNonPositiveThreadCount)
+{
+    WorkloadParams w;
+    w.name = "none";
+    for (int threads : {0, -1}) {
+        std::stringstream buf;
+        EXPECT_THROW(writeTrace(buf, w, threads, 10), std::invalid_argument)
+            << threads << " threads";
+        EXPECT_TRUE(buf.str().empty()) << threads << " threads";
+    }
+}
+
 TEST(TraceFile, ReplayMatchesGeneratorTiming)
 {
     // Recording the generator and replaying it must give the same
