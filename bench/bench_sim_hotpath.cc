@@ -13,7 +13,9 @@
  * BENCH_sim_hotpath.json.
  *
  * Usage: bench_sim_hotpath [--golden-dir DIR] [--out FILE] [--reps N]
- *        (defaults: bench/golden, BENCH_sim_hotpath.json, 3)
+ *        (defaults: bench/golden, BENCH_sim_hotpath.json, 3; --reps
+ *        sets the throughput and stall-heavy reps, while the many-core
+ *        2x gate always takes the min of 7 alternating reps per side)
  * Exit status is non-zero when any identity check fails.
  */
 
@@ -227,23 +229,38 @@ makeManyCore(DirectoryMode mode)
     return System(hp, w, kManyInstr, kManyCores, kManyThreadsPerCore);
 }
 
-StallRun
-timeManyCore(DirectoryMode mode, int reps)
+// Reps per side for the 2x gate, whatever --reps says: one rep per side
+// let a noisy host fail the gate now and then.
+constexpr int kManyReps = 7;
+
+struct ManyCoreRuns {
+    StallRun sparse, broadcast;
+};
+
+/** Min-of-kManyReps time per directory mode; the modes alternate so
+ * that host noise falls on both sides alike. */
+ManyCoreRuns
+timeManyCore()
 {
-    StallRun r;
-    r.secs = 1e300;
-    for (int i = 0; i < reps; ++i) {
-        System sys = makeManyCore(mode);
-        const auto start = std::chrono::steady_clock::now();
-        r.stats = sys.run();
-        const double secs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (secs < r.secs)
-            r.secs = secs;
+    ManyCoreRuns m;
+    m.sparse.secs = m.broadcast.secs = 1e300;
+    for (int i = 0; i < kManyReps; ++i) {
+        for (const DirectoryMode mode :
+             {DirectoryMode::Sparse, DirectoryMode::Broadcast}) {
+            StallRun &r =
+                mode == DirectoryMode::Sparse ? m.sparse : m.broadcast;
+            System sys = makeManyCore(mode);
+            const auto start = std::chrono::steady_clock::now();
+            r.stats = sys.run();
+            const double secs =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+            if (secs < r.secs)
+                r.secs = secs;
+        }
     }
-    return r;
+    return m;
 }
 
 } // namespace
@@ -382,8 +399,7 @@ main(int argc, char **argv)
                 stall_same ? "IDENTICAL" : "DIFFER");
 
     // --- Many-core: sparse directory vs broadcast fallback. ---
-    const StallRun sd = timeManyCore(DirectoryMode::Sparse, reps);
-    const StallRun bc = timeManyCore(DirectoryMode::Broadcast, reps);
+    const auto [sd, bc] = timeManyCore();
     const bool many_same = sameAggregates(sd.stats, bc.stats);
     const double sd_cps =
         sd.secs > 0 ? double(sd.stats.cycles) / sd.secs : 0.0;
@@ -396,11 +412,11 @@ main(int argc, char **argv)
     std::printf("many-core (%d cores x %d threads, shared writes):\n"
                 "  sparse dir    %.3e cycles/s (%.3f s)\n"
                 "  broadcast     %.3e cycles/s (%.3f s)\n"
-                "  speedup       %.2fx (gate: >= 2x %s)   aggregates "
-                "%s\n",
+                "  speedup       %.2fx (gate: >= 2x %s, min of %d)   "
+                "aggregates %s\n",
                 kManyCores, kManyThreadsPerCore, sd_cps, sd.secs,
                 bc_cps, bc.secs, dir_speedup,
-                dir_fast_enough ? "PASS" : "FAIL",
+                dir_fast_enough ? "PASS" : "FAIL", kManyReps,
                 many_same ? "IDENTICAL" : "DIFFER");
 
     using cactid::obs::fmtDouble;
@@ -449,7 +465,8 @@ main(int argc, char **argv)
        << ",\n"
        << "    \"speedup\": " << fmtDouble(dir_speedup) << ",\n"
        << "    \"speedup_gate_2x\": "
-       << (dir_fast_enough ? "true" : "false") << "\n"
+       << (dir_fast_enough ? "true" : "false") << ",\n"
+       << "    \"reps\": " << kManyReps << "\n"
        << "  },\n"
        << "  \"reps\": " << reps << "\n"
        << "}\n";

@@ -10,6 +10,9 @@
 #include <cstdlib>
 #include <iomanip>
 #include <stdexcept>
+#include <string>
+
+#include "util/parse.hh"
 
 namespace archsim {
 
@@ -407,9 +410,15 @@ Study::printTable3(std::ostream &os) const
 std::uint64_t
 defaultInstrPerThread()
 {
-    if (const char *env = std::getenv("ARCHSIM_INSTR"))
-        return std::strtoull(env, nullptr, 10);
-    return 150000;
+    const char *env = std::getenv("ARCHSIM_INSTR");
+    if (!env)
+        return 150000;
+    std::uint64_t n = 0;
+    if (!cactid::util::parseNumber(env, n) || n < 1)
+        throw std::invalid_argument(
+            std::string("ARCHSIM_INSTR needs an integer >= 1 (got ") + env +
+            ")");
+    return n;
 }
 
 } // namespace archsim

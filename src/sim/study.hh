@@ -96,7 +96,9 @@ class Study
 
 /**
  * Default per-thread instruction budget; override with the
- * ARCHSIM_INSTR environment variable.
+ * ARCHSIM_INSTR environment variable, a whole decimal count >= 1.
+ * @throws std::invalid_argument naming the variable and its text
+ * when it is set to anything else.
  */
 std::uint64_t defaultInstrPerThread();
 

@@ -7,9 +7,182 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace archsim {
+
+namespace {
+
+/**
+ * The stack's conductance matrix G (W/K), factored G = L L^T.
+ * Unknown (y * grid + x) * 2 + layer is the rise over ambient of cell
+ * (x, y) on the bottom (0) or top (1) die.  That order keeps every
+ * coupling within 2 * grid of the diagonal, so L is a band: row i
+ * holds L(i, i - d) for d = 0 .. 2 * grid.
+ */
+class StackFactor
+{
+  public:
+    explicit StackFactor(const ThermalParams &p);
+
+    /** Whether @p p has this factor's geometry (the ambient may differ). */
+    bool fits(const ThermalParams &p) const;
+
+    std::size_t cells() const { return unknowns_ / 2; }
+
+    /** Overwrite per-unknown power @p x (W) with the rise it causes (K). */
+    void solve(std::vector<double> &x) const;
+
+    /** Rise per watt of the study's core die and of each of its LLC
+     * banks; empty until the first study query. */
+    std::vector<double> unitCore, unitBank;
+
+  private:
+    double &
+    at(std::size_t i, std::size_t d)
+    {
+        return band_[i * (bw_ + 1) + d];
+    }
+    double
+    at(std::size_t i, std::size_t d) const
+    {
+        return band_[i * (bw_ + 1) + d];
+    }
+    std::size_t first(std::size_t i) const { return i > bw_ ? i - bw_ : 0; }
+
+    ThermalParams geometry_;
+    std::size_t unknowns_;
+    std::size_t bw_; ///< half-bandwidth
+    std::vector<double> band_;
+};
+
+StackFactor::StackFactor(const ThermalParams &p) : geometry_(p)
+{
+    const auto positive = [](double v) { return v > 0 && std::isfinite(v); };
+    if (p.grid < 1 || !positive(p.dieEdge) || !positive(p.dieThickness) ||
+        !positive(p.bondThickness) || !positive(p.kSilicon) ||
+        !positive(p.kBond) || !positive(p.rSinkPerArea))
+        throw std::invalid_argument("thermal geometry must be positive");
+
+    const auto n = std::size_t(p.grid);
+    unknowns_ = 2 * n * n;
+    bw_ = 2 * n;
+    band_.assign(unknowns_ * (bw_ + 1), 0.0);
+
+    const double cell_edge = p.dieEdge / p.grid;
+    const double cell_area = cell_edge * cell_edge;
+    // Conductances (W/K): silicon between lateral neighbours (k times
+    // the cross-section over the length; the cell edge cancels), the
+    // bond between the dies, and the sink above the top die.
+    const double g_lateral = p.kSilicon * p.dieThickness;
+    const double g_bond = p.kBond * cell_area / p.bondThickness;
+    const double g_sink = cell_area / p.rSinkPerArea;
+
+    // Lower band of G: a coupling of unknowns i and i - d adds to both
+    // diagonals and puts its negated conductance off the diagonal.
+    const auto couple = [&](std::size_t i, std::size_t d, double g) {
+        at(i, 0) += g;
+        at(i - d, 0) += g;
+        at(i, d) = -g;
+    };
+    for (std::size_t y = 0; y < n; ++y) {
+        for (std::size_t x = 0; x < n; ++x) {
+            const std::size_t i = (y * n + x) * 2;
+            couple(i + 1, 1, g_bond);
+            at(i + 1, 0) += g_sink;
+            for (std::size_t layer = 0; layer < 2; ++layer) {
+                if (x > 0)
+                    couple(i + layer, 2, g_lateral);
+                if (y > 0)
+                    couple(i + layer, bw_, g_lateral);
+            }
+        }
+    }
+
+    // Cholesky in place; G is symmetric and, with the sink, positive
+    // definite, so every pivot is positive.
+    for (std::size_t i = 0; i < unknowns_; ++i) {
+        for (std::size_t j = first(i); j <= i; ++j) {
+            double s = at(i, i - j);
+            for (std::size_t k = first(i); k < j; ++k)
+                s -= at(i, i - k) * at(j, j - k);
+            at(i, i - j) = i == j ? std::sqrt(s) : s / at(j, 0);
+        }
+    }
+}
+
+bool
+StackFactor::fits(const ThermalParams &p) const
+{
+    const ThermalParams &g = geometry_;
+    return p.grid == g.grid && p.dieEdge == g.dieEdge &&
+           p.dieThickness == g.dieThickness &&
+           p.bondThickness == g.bondThickness &&
+           p.kSilicon == g.kSilicon && p.kBond == g.kBond &&
+           p.rSinkPerArea == g.rSinkPerArea;
+}
+
+void
+StackFactor::solve(std::vector<double> &x) const
+{
+    // Forward substitution, L z = x.
+    for (std::size_t i = 0; i < unknowns_; ++i) {
+        double s = x[i];
+        for (std::size_t k = first(i); k < i; ++k)
+            s -= at(i, i - k) * x[k];
+        x[i] = s / at(i, 0);
+    }
+    // Back substitution, L^T t = z, a row of L at a time.
+    for (std::size_t i = unknowns_; i-- > 0;) {
+        x[i] /= at(i, 0);
+        for (std::size_t k = first(i); k < i; ++k)
+            x[k] -= at(i, i - k) * x[i];
+    }
+}
+
+/** This thread's factor for @p p's geometry, built on first use. */
+StackFactor &
+factorFor(const ThermalParams &p)
+{
+    thread_local std::optional<StackFactor> memo;
+    if (!memo || !memo->fits(p))
+        memo.emplace(p);
+    return *memo;
+}
+
+/** Per-unknown rise over ambient (K) under the two power maps (W). */
+std::vector<double>
+rise(const StackFactor &f, const std::vector<double> &bottom_power,
+     const std::vector<double> &top_power)
+{
+    const std::size_t cells = f.cells();
+    if (bottom_power.size() != cells || top_power.size() != cells)
+        throw std::invalid_argument("power map size mismatch");
+    std::vector<double> x(2 * cells);
+    for (std::size_t c = 0; c < cells; ++c) {
+        x[2 * c] = bottom_power[c];
+        x[2 * c + 1] = top_power[c];
+    }
+    f.solve(x);
+    return x;
+}
+
+/** Per-die and stack maxima of temp(cell, layer) over @p cells cells. */
+template <class Temp>
+ThermalResult
+peaks(std::size_t cells, Temp temp)
+{
+    ThermalResult r;
+    for (std::size_t c = 0; c < cells; ++c) {
+        r.maxTempBottomDie = std::max(r.maxTempBottomDie, temp(c, 0));
+        r.maxTempTopDie = std::max(r.maxTempTopDie, temp(c, 1));
+    }
+    r.maxTemp = std::max(r.maxTempBottomDie, r.maxTempTopDie);
+    return r;
+}
+
+} // namespace
 
 std::vector<double>
 tileMap(int grid, const std::vector<double> &tiles)
@@ -36,91 +209,47 @@ ThermalResult
 solveStudyStack(const ThermalParams &p, double core_die_w,
                 double l3_bank_w)
 {
-    const std::vector<double> core_tiles(8, core_die_w / 8.0);
-    const std::vector<double> llc_tiles(8, l3_bank_w);
-    return solveStack(p, tileMap(p.grid, core_tiles),
-                      tileMap(p.grid, llc_tiles));
+    StackFactor &f = factorFor(p);
+    if (f.unitCore.empty()) {
+        const std::vector<double> zero(f.cells(), 0.0);
+        f.unitCore = rise(
+            f, tileMap(p.grid, std::vector<double>(8, 1.0 / 8.0)), zero);
+        f.unitBank =
+            rise(f, zero, tileMap(p.grid, std::vector<double>(8, 1.0)));
+    }
+    return peaks(f.cells(), [&](std::size_t c, int layer) {
+        const std::size_t i = 2 * c + layer;
+        return p.ambient +
+               (core_die_w * f.unitCore[i] + l3_bank_w * f.unitBank[i]);
+    });
+}
+
+std::vector<double>
+stackTemperatures(const ThermalParams &p,
+                  const std::vector<double> &bottom_power,
+                  const std::vector<double> &top_power)
+{
+    const std::vector<double> x =
+        rise(factorFor(p), bottom_power, top_power);
+    const std::size_t cells = x.size() / 2;
+    std::vector<double> t(x.size());
+    for (std::size_t c = 0; c < cells; ++c) {
+        t[c] = p.ambient + x[2 * c];
+        t[cells + c] = p.ambient + x[2 * c + 1];
+    }
+    return t;
 }
 
 ThermalResult
 solveStack(const ThermalParams &p, const std::vector<double> &bottom_power,
            const std::vector<double> &top_power)
 {
-    const int n = p.grid;
-    const auto cells = std::size_t(n) * n;
-    if (bottom_power.size() != cells || top_power.size() != cells)
-        throw std::invalid_argument("power map size mismatch");
-
-    const double cell_edge = p.dieEdge / n;
-    const double cell_area = cell_edge * cell_edge;
-
-    // Conductances (W/K).
-    const double g_lateral =
-        p.kSilicon * (cell_edge * p.dieThickness) / cell_edge;
-    const double g_bond = p.kBond * cell_area / p.bondThickness;
-    const double g_sink =
-        cell_area / p.rSinkPerArea +
-        p.kSilicon * cell_area / p.dieThickness * 0.0; // sink dominates
-
-    // Two layers: index 0 = bottom (cores), 1 = top (LLC, under sink).
-    std::vector<double> temp(2 * cells, p.ambient);
-
-    auto idx = [cells, n](int layer, int y, int x) {
-        return std::size_t(layer) * cells + std::size_t(y) * n + x;
-    };
-
-    for (int iter = 0; iter < 4000; ++iter) {
-        double max_delta = 0.0;
-        for (int layer = 0; layer < 2; ++layer) {
-            for (int y = 0; y < n; ++y) {
-                for (int x = 0; x < n; ++x) {
-                    double g_sum = 0.0;
-                    double flow = 0.0;
-                    // Lateral neighbours.
-                    const int dx[] = {1, -1, 0, 0};
-                    const int dy[] = {0, 0, 1, -1};
-                    for (int k = 0; k < 4; ++k) {
-                        const int nx = x + dx[k];
-                        const int ny = y + dy[k];
-                        if (nx < 0 || nx >= n || ny < 0 || ny >= n)
-                            continue;
-                        g_sum += g_lateral;
-                        flow += g_lateral * temp[idx(layer, ny, nx)];
-                    }
-                    // Vertical: bond between layers; sink above top.
-                    const int other = 1 - layer;
-                    g_sum += g_bond;
-                    flow += g_bond * temp[idx(other, y, x)];
-                    if (layer == 1) {
-                        g_sum += g_sink;
-                        flow += g_sink * p.ambient;
-                    }
-                    const double power =
-                        layer == 0 ? bottom_power[idx(0, y, x)]
-                                   : top_power[idx(0, y, x)];
-                    const double t_new = (flow + power) / g_sum;
-                    const std::size_t i = idx(layer, y, x);
-                    max_delta =
-                        std::max(max_delta, std::abs(t_new - temp[i]));
-                    temp[i] = t_new;
-                }
-            }
-        }
-        if (max_delta < 1e-6)
-            break;
-    }
-
-    ThermalResult r;
-    for (int y = 0; y < n; ++y) {
-        for (int x = 0; x < n; ++x) {
-            r.maxTempBottomDie =
-                std::max(r.maxTempBottomDie, temp[idx(0, y, x)]);
-            r.maxTempTopDie =
-                std::max(r.maxTempTopDie, temp[idx(1, y, x)]);
-        }
-    }
-    r.maxTemp = std::max(r.maxTempBottomDie, r.maxTempTopDie);
-    return r;
+    const std::vector<double> t =
+        stackTemperatures(p, bottom_power, top_power);
+    const std::size_t cells = t.size() / 2;
+    return peaks(cells, [&](std::size_t c, int layer) {
+        return t[layer * cells + c];
+    });
 }
 
 } // namespace archsim

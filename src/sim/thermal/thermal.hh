@@ -1,9 +1,18 @@
 /**
  * @file
  * Steady-state thermal model of the 2-die stack (paper section 4.3's
- * HotSpot study): a 3-D resistance grid solved by Gauss-Seidel
- * relaxation.  The heat sink sits on the top (LLC) die; the bottom
- * (core) die conducts up through the face-to-face bond.
+ * HotSpot study): a 3-D resistance grid over both dies.  The heat sink
+ * sits on the top (LLC) die; the bottom (core) die conducts up through
+ * the face-to-face bond.
+ *
+ * The grid is linear and its conductances depend only on the geometry
+ * (every ThermalParams field but the ambient, which shifts the answer).
+ * Each thread factors the conductance matrix by banded Cholesky on its
+ * first solve for a geometry, so a solve is one forward and one back
+ * substitution, exact to rounding.  The study's two scalar inputs
+ * superpose two unit fields solved once with that factor:
+ * T = ambient + core_die_w * U_core + l3_bank_w * U_bank, which costs
+ * one pass over the cells per query.
  */
 
 #ifndef ARCHSIM_THERMAL_THERMAL_HH
@@ -31,6 +40,16 @@ struct ThermalResult {
     double maxTempTopDie = 0.0;
     double maxTempBottomDie = 0.0;
 };
+
+/**
+ * The temperature (K) of every cell: the bottom die's grid x grid map,
+ * then the top die's, each in the power maps' order.  Throws
+ * std::invalid_argument on a power-map size mismatch or a non-positive
+ * geometry.
+ */
+std::vector<double> stackTemperatures(const ThermalParams &p,
+                                      const std::vector<double> &bottom_power,
+                                      const std::vector<double> &top_power);
 
 /**
  * Solve the stack: @p bottom_power and @p top_power are grid x grid

@@ -5,9 +5,12 @@
 
 #include "sim/workload/trace_file.hh"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "util/parse.hh"
 
 namespace archsim {
 
@@ -48,33 +51,46 @@ TraceFile::load(std::istream &in)
 {
     TraceFile t;
     std::string line;
-    int line_no = 0;
+    std::uint64_t line_no = 0;
     while (std::getline(in, line)) {
         ++line_no;
         if (line.empty() || line[0] == '#')
             continue;
+        const auto bad = [&](const std::string &what) {
+            return std::invalid_argument(
+                "trace line " + std::to_string(line_no) + ": " + what);
+        };
         std::istringstream ls(line);
-        int thread = -1;
-        std::string op;
-        ls >> thread >> op;
-        if (thread < 0 || op.size() != 1) {
-            throw std::invalid_argument(
-                "trace line " + std::to_string(line_no) +
-                ": expected '<thread> <op> [addr]'");
-        }
+        std::string thread_text, op, addr, extra;
+        ls >> thread_text >> op >> addr >> extra;
+        unsigned thread = 0;
+        if (!cactid::util::parseNumber(thread_text, thread) ||
+            op.size() != 1)
+            throw bad("expected '<thread> <op> [addr]'");
+        if (thread >= kMaxThreads)
+            throw bad("thread id needs to be below " +
+                      std::to_string(kMaxThreads) + " (got " +
+                      thread_text + ")");
         Inst inst;
-        inst.op = opFromCode(op[0]);
-        if (inst.op == Op::Load || inst.op == Op::Store) {
-            std::string addr;
-            ls >> addr;
-            if (addr.empty()) {
-                throw std::invalid_argument(
-                    "trace line " + std::to_string(line_no) +
-                    ": memory op without address");
-            }
-            inst.addr = std::stoull(addr, nullptr, 16);
+        try {
+            inst.op = opFromCode(op[0]);
+        } catch (const std::invalid_argument &e) {
+            throw bad(e.what());
         }
-        if (thread >= static_cast<int>(t.perThread_.size()))
+        const bool memory = inst.op == Op::Load || inst.op == Op::Store;
+        if (memory) {
+            if (addr.empty())
+                throw bad("memory op without address");
+            const char *end = addr.data() + addr.size();
+            const auto [p, ec] =
+                std::from_chars(addr.data(), end, inst.addr, 16);
+            if (ec != std::errc() || p != end)
+                throw bad("address needs a 64-bit hex number (got " +
+                          addr + ")");
+        }
+        if ((!memory && !addr.empty()) || !extra.empty())
+            throw bad("trailing text after the record");
+        if (thread >= t.perThread_.size())
             t.perThread_.resize(thread + 1);
         t.perThread_[thread].push_back(inst);
     }

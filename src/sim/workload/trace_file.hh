@@ -6,7 +6,9 @@
  *
  * Format: one record per line, `<thread> <op> [hex-addr]`, where op is
  * one of F (fp), O (other), L (load), S (store), B (barrier), K (lock),
- * U (unlock).  Lines starting with `#` are comments.
+ * U (unlock).  The thread id is decimal and below TraceFile::kMaxThreads;
+ * loads and stores carry a 64-bit hex address (no 0x), other ops none.
+ * Lines starting with `#` are comments.
  */
 
 #ifndef ARCHSIM_WORKLOAD_TRACE_FILE_HH
@@ -25,7 +27,17 @@ namespace archsim {
 class TraceFile
 {
   public:
-    /** Parse a trace stream. @throws std::invalid_argument on errors. */
+    /**
+     * Thread ids run below this, so a loaded trace's thread table
+     * (one vector per id up to the largest) stays small whatever id a
+     * file names.
+     */
+    static constexpr unsigned kMaxThreads = 1u << 16;
+
+    /**
+     * Parse a trace stream.  @throws std::invalid_argument, as
+     * "trace line N: ...", on any malformed record.
+     */
     static TraceFile load(std::istream &in);
 
     /** Number of threads with at least one record. */

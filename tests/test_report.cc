@@ -141,6 +141,74 @@ TEST(ReportLoad, RejectsWrongSchemaAndMissingFile)
     std::remove(path.c_str());
 }
 
+TEST(ReportLoad, RejectsMalformedNumbers)
+{
+    // A malformed number fails the load with one line naming the file,
+    // the field and the text; it never merges as a nearby number.
+    std::vector<std::pair<std::string, obs::Registry>> regs;
+    regs.emplace_back("ft.B/nol3", makeRegistry(7));
+    const std::string doc = dumpOf(regs);
+    const struct {
+        const char *from, *to, *field, *got;
+    } cases[] = {
+        {"\"sim.cycles\": 700", "\"sim.cycles\": -1",
+         "counter 'sim.cycles'", "-1"},
+        {"\"sim.cycles\": 700", "\"sim.cycles\": 1-2",
+         "counter 'sim.cycles'", "1-2"},
+        {"\"sim.cycles\": 700", "\"sim.cycles\": 1.9",
+         "counter 'sim.cycles'", "1.9"},
+        {"\"sim.cycles\": 700", "\"sim.cycles\": 1e3",
+         "counter 'sim.cycles'", "1e3"},
+        {"\"sim.cycles\": 700", "\"sim.cycles\": \"700\"",
+         "counter 'sim.cycles'", "\"700\""},
+        {"\"power.total_w\": 3.5", "\"power.total_w\": 1e999",
+         "gauge 'power.total_w'", "1e999"},
+        {"\"power.total_w\": 3.5", "\"power.total_w\": 3.5.1",
+         "gauge 'power.total_w'", "3.5.1"},
+        {"\"counts\": [4, 1,", "\"counts\": [4, -1,",
+         "histogram 'sim.lat.l1'", "-1"},
+        {"\"total\": 7", "\"total\": 7.0", "histogram 'sim.lat.l1'",
+         "7.0"},
+        {"\"sum\": 11", "\"sum\": 1-1", "histogram 'sim.lat.l1'",
+         "1-1"},
+        {"\"bounds\": [1,", "\"bounds\": [1e-999,",
+         "histogram 'sim.lat.l1'", "1e-999"},
+    };
+    for (const auto &c : cases) {
+        const std::size_t at = doc.find(c.from);
+        ASSERT_NE(at, std::string::npos) << c.from << " in\n" << doc;
+        std::string bad = doc;
+        bad.replace(at, std::string(c.from).size(), c.to);
+        const std::string path = writeTemp("report_badnum.json", bad);
+        RegistryShard shard;
+        std::string err;
+        EXPECT_FALSE(loadRegistryDump(path, shard, &err)) << c.to;
+        EXPECT_EQ(err.rfind(path + ": registry 'ft.B/nol3': " + c.field +
+                                ": needs ",
+                            0),
+                  0u)
+            << err;
+        EXPECT_NE(err.find(std::string("(got ") + c.got + ")"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+        std::remove(path.c_str());
+    }
+
+    const std::string tpath = writeTemp(
+        "report_badnum.jsonl",
+        R"({"schema": "cactid-telemetry-v1", "record": "start", "total_runs": 2, "interval_ms": 1000})"
+        "\n"
+        R"({"record": "run", "index": 0, "config": "nol3", "workload": "ft.B", "status": "ok", "attempts": 1, "host": {"wall_ms": -5, "cpu_ms": 4, "peak_rss_kb": 90}})"
+        "\n");
+    TelemetryShard tshard;
+    std::string err;
+    EXPECT_FALSE(loadTelemetry(tpath, tshard, &err));
+    EXPECT_EQ(err, tpath + ":2: wall_ms: needs a whole number >= 0 "
+                           "(got -5)");
+    std::remove(tpath.c_str());
+}
+
 // --- Telemetry loader ----------------------------------------------------
 
 TEST(ReportLoad, TelemetryParsesRunsAndSummary)

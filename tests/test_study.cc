@@ -4,6 +4,10 @@
  * configuration plumbing, and the paper's qualitative orderings.
  */
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/study.hh"
@@ -11,6 +15,53 @@
 namespace {
 
 using namespace archsim;
+
+/** Sets ARCHSIM_INSTR for one scope, then restores what was there. */
+class InstrEnv
+{
+  public:
+    explicit InstrEnv(const char *value)
+    {
+        if (const char *old = std::getenv("ARCHSIM_INSTR"))
+            old_ = old;
+        ::setenv("ARCHSIM_INSTR", value, 1);
+    }
+
+    ~InstrEnv()
+    {
+        if (old_)
+            ::setenv("ARCHSIM_INSTR", old_->c_str(), 1);
+        else
+            ::unsetenv("ARCHSIM_INSTR");
+    }
+
+  private:
+    std::optional<std::string> old_;
+};
+
+TEST(StudyDefaults, InstrEnvMustBeAWholeCount)
+{
+    {
+        const InstrEnv env("5000");
+        EXPECT_EQ(defaultInstrPerThread(), 5000u);
+    }
+    // A budget is one whole count >= 1: no partial token, sign, zero
+    // or empty value may become a 0-, 12- or 2^64-5-instruction sweep.
+    for (const char *bad : {"abc", "12x", "-5", "0", "", " 7", "1e3",
+                            "18446744073709551616"}) {
+        const InstrEnv env(bad);
+        try {
+            const std::uint64_t n = defaultInstrPerThread();
+            ADD_FAILURE() << "ARCHSIM_INSTR=" << bad << " gave " << n;
+        } catch (const std::invalid_argument &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("ARCHSIM_INSTR"), std::string::npos) << msg;
+            EXPECT_NE(msg.find(std::string("(got ") + bad + ")"),
+                      std::string::npos)
+                << msg;
+        }
+    }
+}
 
 /** One Study shared by all tests (construction runs many solves). */
 class StudyTest : public ::testing::Test

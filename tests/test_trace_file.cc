@@ -4,6 +4,7 @@
  */
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,25 @@ TEST(TraceFile, RejectsMalformedLines)
     EXPECT_THROW(TraceFile::load(no_addr), std::invalid_argument);
     std::istringstream garbage("hello world\n");
     EXPECT_THROW(TraceFile::load(garbage), std::exception);
+
+    // Each field is one whole token, and every error names its line.
+    for (const char *text :
+         {"0 L zz\n", "0 L 12zz\n", "0 L 1ffffffffffffffffff\n",
+          "0 L -40\n", "0 L 0x40\n", "0 F 40\n", "0 L 40 7\n",
+          "-1 F\n", "1x F\n", "0 FF\n", "70000 F\n",
+          "65536 F\n"}) {
+        std::istringstream in(std::string("0 F\n") + text);
+        try {
+            const TraceFile t = TraceFile::load(in);
+            ADD_FAILURE() << "accepted " << text << "(" << t.threads()
+                          << " threads)";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("trace line 2: ", 0), 0u)
+                << text << ": " << e.what();
+        }
+    }
+    std::istringstream top_id("65535 F\n");
+    EXPECT_EQ(TraceFile::load(top_id).threads(), 65536);
 }
 
 TEST(TraceFile, SourceLoops)

@@ -6,32 +6,49 @@
 #include "report.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/numfmt.hh"
 #include "obs/openmetrics.hh"
 #include "util/atomic_file.hh"
+#include "util/parse.hh"
 
 namespace cactid::tools {
 
 // --- Minimal JSON parser -------------------------------------------
 
+namespace {
+
+/** @p v's number as one whole @p T, else an error quoting its text. */
+template <class T>
+T
+strictNumber(const JsonValue &v, const char *needs)
+{
+    T out{};
+    if (v.kind == JsonValue::Kind::Number &&
+        util::parseNumber(v.number, out))
+        return out;
+    const std::string text =
+        v.kind == JsonValue::Kind::Number   ? v.number
+        : v.kind == JsonValue::Kind::String ? '"' + v.str + '"'
+                                            : "a non-number";
+    throw std::invalid_argument(std::string("needs ") + needs + " (got " +
+                                text + ")");
+}
+
+} // namespace
+
 double
 JsonValue::asDouble() const
 {
-    if (kind != Kind::Number)
-        return 0.0;
-    return std::strtod(number.c_str(), nullptr);
+    return strictNumber<double>(*this, "a finite number");
 }
 
 std::uint64_t
 JsonValue::asUint() const
 {
-    if (kind != Kind::Number)
-        return 0;
-    return std::strtoull(number.c_str(), nullptr, 10);
+    return strictNumber<std::uint64_t>(*this, "a whole number >= 0");
 }
 
 const JsonValue *
@@ -285,45 +302,48 @@ bool
 registryFromJson(const JsonValue &j, obs::Registry &reg,
                  std::string *err)
 {
-    if (const JsonValue *counters = j.find("counters")) {
-        for (const auto &[name, v] : counters->object)
-            reg.counter(name) = v.asUint();
-    }
-    if (const JsonValue *gauges = j.find("gauges")) {
-        for (const auto &[name, v] : gauges->object)
-            reg.gauge(name) = v.asDouble();
-    }
-    if (const JsonValue *histograms = j.find("histograms")) {
-        for (const auto &[name, v] : histograms->object) {
-            const JsonValue *bounds = v.find("bounds");
-            const JsonValue *counts = v.find("counts");
-            const JsonValue *total = v.find("total");
-            const JsonValue *sum = v.find("sum");
-            if (!bounds || !counts || !total || !sum) {
-                if (err)
-                    *err = "histogram '" + name +
-                           "': missing bounds/counts/total/sum";
-                return false;
+    std::string field; // what is being read, for the error message
+    try {
+        if (const JsonValue *counters = j.find("counters")) {
+            for (const auto &[name, v] : counters->object) {
+                field = "counter '" + name + "'";
+                reg.counter(name) = v.asUint();
             }
-            std::vector<double> b;
-            b.reserve(bounds->array.size());
-            for (const JsonValue &x : bounds->array)
-                b.push_back(x.asDouble());
-            std::vector<std::uint64_t> c;
-            c.reserve(counts->array.size());
-            for (const JsonValue &x : counts->array)
-                c.push_back(x.asUint());
-            try {
+        }
+        if (const JsonValue *gauges = j.find("gauges")) {
+            for (const auto &[name, v] : gauges->object) {
+                field = "gauge '" + name + "'";
+                reg.gauge(name) = v.asDouble();
+            }
+        }
+        if (const JsonValue *histograms = j.find("histograms")) {
+            for (const auto &[name, v] : histograms->object) {
+                field = "histogram '" + name + "'";
+                const JsonValue *bounds = v.find("bounds");
+                const JsonValue *counts = v.find("counts");
+                const JsonValue *total = v.find("total");
+                const JsonValue *sum = v.find("sum");
+                if (!bounds || !counts || !total || !sum)
+                    throw std::invalid_argument(
+                        "missing bounds/counts/total/sum");
+                std::vector<double> b;
+                b.reserve(bounds->array.size());
+                for (const JsonValue &x : bounds->array)
+                    b.push_back(x.asDouble());
+                std::vector<std::uint64_t> c;
+                c.reserve(counts->array.size());
+                for (const JsonValue &x : counts->array)
+                    c.push_back(x.asUint());
                 const obs::Histogram h = obs::Histogram::fromParts(
                     std::move(b), std::move(c), total->asUint(),
                     sum->asDouble());
                 reg.histogram(name, h.bounds()).merge(h);
-            } catch (const std::invalid_argument &e) {
-                if (err)
-                    *err = "histogram '" + name + "': " + e.what();
-                return false;
             }
         }
+    } catch (const std::invalid_argument &e) {
+        if (err)
+            *err = field + ": " + e.what();
+        return false;
     }
     return true;
 }
@@ -403,68 +423,69 @@ loadTelemetry(const std::string &path, TelemetryShard &out,
         const JsonValue *type = rec.find("record");
         if (!type)
             continue;
-        if (type->str == "start") {
-            const JsonValue *schema = rec.find("schema");
-            if (!schema || schema->str != "cactid-telemetry-v1") {
-                if (err)
-                    *err = path + ": not a cactid-telemetry-v1 stream";
-                return false;
+        std::string field; // what is being read, for the error message
+        // Member @p key of @p obj, when both exist, as a whole count.
+        const auto count = [&field](const JsonValue *obj, const char *key,
+                                    std::uint64_t &out) {
+            if (const JsonValue *v = obj ? obj->find(key) : nullptr) {
+                field = key;
+                out = v->asUint();
             }
-            if (const JsonValue *t = rec.find("total_runs"))
-                out.totalRuns = t->asUint();
-        } else if (type->str == "run") {
-            TelemetryRun run;
-            if (const JsonValue *v = rec.find("index"))
-                run.index = v->asUint();
-            if (const JsonValue *v = rec.find("config"))
-                run.config = v->str;
-            if (const JsonValue *v = rec.find("workload"))
-                run.workload = v->str;
-            if (const JsonValue *v = rec.find("status"))
-                run.status = v->str;
-            if (const JsonValue *v = rec.find("attempts"))
-                run.attempts = v->asUint();
-            if (const JsonValue *e = rec.find("error")) {
-                if (const JsonValue *v = e->find("message"))
-                    run.errorMessage = v->str;
-                if (const JsonValue *v = e->find("phase"))
-                    run.errorPhase = v->str;
-                if (const JsonValue *v = e->find("cycle"))
-                    run.errorCycle = v->asUint();
+        };
+        const auto str = [](const JsonValue &obj, const char *key,
+                            std::string &out) {
+            if (const JsonValue *v = obj.find(key))
+                out = v->str;
+        };
+        try {
+            if (type->str == "start") {
+                const JsonValue *schema = rec.find("schema");
+                if (!schema || schema->str != "cactid-telemetry-v1") {
+                    if (err)
+                        *err = path + ": not a cactid-telemetry-v1 stream";
+                    return false;
+                }
+                count(&rec, "total_runs", out.totalRuns);
+            } else if (type->str == "run") {
+                TelemetryRun run;
+                count(&rec, "index", run.index);
+                str(rec, "config", run.config);
+                str(rec, "workload", run.workload);
+                str(rec, "status", run.status);
+                count(&rec, "attempts", run.attempts);
+                if (const JsonValue *e = rec.find("error")) {
+                    str(*e, "message", run.errorMessage);
+                    str(*e, "phase", run.errorPhase);
+                    count(e, "cycle", run.errorCycle);
+                }
+                const JsonValue *host = rec.find("host");
+                count(host, "wall_ms", run.wallMs);
+                count(host, "cpu_ms", run.cpuMs);
+                count(host, "peak_rss_kb", run.peakRssKb);
+                out.runs.push_back(std::move(run));
+            } else if (type->str == "summary") {
+                out.hasSummary = true;
+                count(&rec, "ok", out.ok);
+                count(&rec, "failed", out.failed);
+                count(&rec, "timed_out", out.timedOut);
+                count(&rec, "skipped", out.skipped);
+                count(&rec, "retries", out.retries);
+                if (const JsonValue *c = rec.find("counters")) {
+                    for (const auto &[name, v] : c->object) {
+                        field = "counter '" + name + "'";
+                        out.counters[name] += v.asUint();
+                    }
+                }
+                const JsonValue *host = rec.find("host");
+                count(host, "elapsed_ms", out.elapsedMs);
+                count(host, "cpu_ms", out.cpuMs);
+                count(host, "peak_rss_kb", out.peakRssKb);
             }
-            if (const JsonValue *h = rec.find("host")) {
-                if (const JsonValue *v = h->find("wall_ms"))
-                    run.wallMs = v->asUint();
-                if (const JsonValue *v = h->find("cpu_ms"))
-                    run.cpuMs = v->asUint();
-                if (const JsonValue *v = h->find("peak_rss_kb"))
-                    run.peakRssKb = v->asUint();
-            }
-            out.runs.push_back(std::move(run));
-        } else if (type->str == "summary") {
-            out.hasSummary = true;
-            if (const JsonValue *v = rec.find("ok"))
-                out.ok = v->asUint();
-            if (const JsonValue *v = rec.find("failed"))
-                out.failed = v->asUint();
-            if (const JsonValue *v = rec.find("timed_out"))
-                out.timedOut = v->asUint();
-            if (const JsonValue *v = rec.find("skipped"))
-                out.skipped = v->asUint();
-            if (const JsonValue *v = rec.find("retries"))
-                out.retries = v->asUint();
-            if (const JsonValue *c = rec.find("counters")) {
-                for (const auto &[name, v] : c->object)
-                    out.counters[name] += v.asUint();
-            }
-            if (const JsonValue *h = rec.find("host")) {
-                if (const JsonValue *v = h->find("elapsed_ms"))
-                    out.elapsedMs = v->asUint();
-                if (const JsonValue *v = h->find("cpu_ms"))
-                    out.cpuMs = v->asUint();
-                if (const JsonValue *v = h->find("peak_rss_kb"))
-                    out.peakRssKb = v->asUint();
-            }
+        } catch (const std::invalid_argument &e) {
+            if (err)
+                *err = path + ":" + std::to_string(lineno) + ": " + field +
+                       ": " + e.what();
+            return false;
         }
         // heartbeat records are transient progress; the report reads
         // the durable run/summary records instead.

@@ -42,7 +42,12 @@ struct JsonValue {
     /** Insertion-ordered (the dumps are already canonically sorted). */
     std::vector<std::pair<std::string, JsonValue>> object;
 
+    /** The number as a finite double; throws std::invalid_argument
+     * quoting the text on anything else. */
     double asDouble() const;
+    /** The number as a whole decimal count (no sign, fraction or
+     * exponent); throws std::invalid_argument quoting the text on
+     * anything else. */
     std::uint64_t asUint() const;
 
     /** Object member lookup; nullptr when absent or not an object. */
