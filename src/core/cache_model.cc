@@ -83,7 +83,8 @@ solveTagPath(const Technology &t, const MemoryConfig &cfg)
         }
     }
     if (!best.bank.feasible)
-        throw std::runtime_error("no feasible tag organization");
+        throw InfeasibleConfig("no feasible tag organization for " +
+                               cfg.summary());
 
     const Comparator cmp(t, t.cell(cfg.tagCellTech).peripheralDevice,
                          best.tagBits - kStatusBits);

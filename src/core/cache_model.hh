@@ -38,6 +38,8 @@ int tagBitsPerEntry(const MemoryConfig &cfg);
 /**
  * Solve the tag array of @p cfg: enumerates tag organizations and picks
  * the fastest one (tags are latency critical in every access mode).
+ *
+ * @throws InfeasibleConfig when no tag organization is feasible.
  */
 TagPath solveTagPath(const Technology &t, const MemoryConfig &cfg);
 

@@ -7,11 +7,22 @@
 #define CACTID_CORE_CONFIG_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "tech/cell.hh"
 
 namespace cactid {
+
+/**
+ * No organization of a configuration is feasible.  It is the input's
+ * fault, like a malformed config: the tools exit 2, not 3.
+ */
+class InfeasibleConfig : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** What kind of memory structure is being modeled. */
 enum class MemoryType : std::uint8_t {

@@ -185,8 +185,8 @@ SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
     st.evaluateSeconds = secondsSince(t_eval);
 
     if (st.solutionsBuilt == 0)
-        throw std::runtime_error(
-            "no feasible solutions for " + cfg.summary());
+        throw InfeasibleConfig("no feasible solutions for " +
+                               cfg.summary());
 
     // --- Stage 4a: the access-time constraint pass.  The streaming
     // fold already applied the final max-area criterion (its running

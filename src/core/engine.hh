@@ -83,7 +83,7 @@ public:
      * the result's stats field; pass @p stats to also receive a copy
      * (convenient when the result itself is discarded).
      *
-     * @throws std::runtime_error when no candidate is feasible.
+     * @throws InfeasibleConfig when no candidate is feasible.
      */
     SolveResult run(const Technology &t, const MemoryConfig &cfg,
                     EngineStats *stats = nullptr) const;
@@ -110,7 +110,7 @@ public:
      * only enter the final objective pass, which runs per request).
      * Unique solves go through the cache like run(cfg).
      *
-     * @throws std::runtime_error when any request has no feasible
+     * @throws InfeasibleConfig when any request has no feasible
      *         candidates (batch requests are all-or-nothing; callers
      *         needing per-request isolation fall back to run()).
      */

@@ -123,8 +123,8 @@ SolveResult
 optimize(const MemoryConfig &cfg, std::vector<Solution> all)
 {
     if (all.empty())
-        throw std::runtime_error(
-            "no feasible solutions for " + cfg.summary());
+        throw InfeasibleConfig("no feasible solutions for " +
+                               cfg.summary());
 
     SolveResult res;
     res.all = all;

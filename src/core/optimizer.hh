@@ -75,7 +75,7 @@ Solution selectBest(std::vector<Solution> &sols,
  * solutions: area filter, then access-time filter, then the weighted
  * objective.  Fills the pruned-count fields of the result's stats.
  *
- * @throws std::runtime_error when @p all is empty.
+ * @throws InfeasibleConfig when @p all is empty.
  */
 SolveResult optimize(const MemoryConfig &cfg, std::vector<Solution> all);
 

@@ -3,7 +3,7 @@
  * Build attribution: which exact build produced an artifact.
  *
  * Every machine-readable export (study JSON, obs registry dump, Chrome
- * trace) carries a "build" header and both CLI tools answer
+ * trace) carries a "build" header and every flag-taking tool answers
  * `--version`, so a trace or study dump on disk can always be traced
  * back to a git revision, compiler and flag set.
  */

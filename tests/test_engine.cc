@@ -196,4 +196,33 @@ TEST(Engine, InfeasibleConfigThrows)
     EXPECT_THROW(SolverEngine().run(c), std::invalid_argument);
 }
 
+TEST(Engine, NoFeasibleOrganizationThrowsInfeasibleConfig)
+{
+    // A valid config no organization can build: the tag path (16 ways
+    // of 64 B over 8 banks in 1 KB) and the data path (1 KB over 8
+    // banks) each fail.  The tools exit 2 on the dedicated type; older
+    // callers still catch it as std::runtime_error.
+    MemoryConfig tag = sramCache();
+    tag.capacityBytes = 1 << 10;
+    tag.associativity = 16;
+    tag.nBanks = 8;
+    MemoryConfig data = tag;
+    data.type = MemoryType::PlainRam;
+    for (const MemoryConfig &c : {tag, data}) {
+        c.validate();
+        EXPECT_THROW(SolverEngine().run(c), InfeasibleConfig);
+        EXPECT_THROW(SolverEngine().run(c), std::runtime_error);
+        EXPECT_THROW(SolverEngine().solveBatch({sramCache(), c}),
+                     InfeasibleConfig);
+        try {
+            SolverEngine().run(c);
+        } catch (const InfeasibleConfig &e) {
+            EXPECT_NE(std::string(e.what()).find(c.summary()),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(optimize(tag, {}), InfeasibleConfig);
+}
+
 } // namespace

@@ -221,6 +221,22 @@ TEST(ConfigParser, NumbersMustBeWholeValues)
     }
 }
 
+TEST(ConfigParser, EngineJobsMustBeNonNegative)
+{
+    // jobs = 0 means every core; a negative count is no worker count.
+    std::istringstream in("size = 1M\njobs = -3\n");
+    SolverOptions opts;
+    try {
+        tools::parseConfig(in, &opts);
+        ADD_FAILURE() << "accepted jobs = -3";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "line 2: jobs needs an integer >= 0 (got -3)");
+    }
+    std::istringstream zero("jobs = 0\n");
+    tools::parseConfig(zero, &opts);
+    EXPECT_EQ(opts.jobs, 0);
+}
+
 TEST(ConfigParser, CommentsAndBlanksIgnored)
 {
     std::istringstream in(R"(

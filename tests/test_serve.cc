@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fingerprint.hh"
 #include "core/solve_cache.hh"
 #include "obs/registry.hh"
 #include "tools/serve.hh"
@@ -65,6 +66,42 @@ TEST(ServeRequest, MalformedLinesFailWithDiagnostics)
     const ServeRequest bad_cap = parseServeRequest(
         "{\"config\": {\"size\": \"banana\"}}", 0);
     EXPECT_FALSE(bad_cap.ok);
+}
+
+TEST(ServeRequest, MembersAreNeverSplicedIntoConfigText)
+{
+    // A newline or '#' inside a member used to rewrite the request
+    // once the members were pasted into `key = value` lines: all three
+    // below were answered as the 64K cache.
+    const std::string small =
+        "{\"config\": {\"size\": \"64K\", \"associativity\": 4, "
+        "\"type\": \"cache\"}}";
+    const ServeRequest ok = parseServeRequest(small, 0);
+    ASSERT_TRUE(ok.ok) << ok.error;
+    const std::string fp64k = configFingerprint(ok.cfg).hex();
+
+    const std::vector<std::string> spliced = {
+        "{\"config\": {\"size\": \"24M\\nsize = 64K\", "
+        "\"associativity\": 4, \"type\": \"cache\"}}",
+        "{\"config\": {\"size\": \"64K # really 24M\", "
+        "\"associativity\": 4, \"type\": \"cache\"}}",
+        "{\"config\": {\"size = 64K\\nassociativity\": 4, "
+        "\"type\": \"cache\"}}",
+    };
+    for (const std::string &line : spliced) {
+        const ServeRequest req = parseServeRequest(line, 0);
+        EXPECT_FALSE(req.ok) << line;
+        EXPECT_NE(req.error.find("size"), std::string::npos) << req.error;
+    }
+    ServeStats stats;
+    const std::vector<std::string> responses =
+        serveRequests(spliced, ServeOptions{}, &stats);
+    ASSERT_EQ(responses.size(), spliced.size());
+    EXPECT_EQ(stats.failed, spliced.size());
+    for (const std::string &r : responses) {
+        EXPECT_NE(r.find("\"status\":\"error\""), std::string::npos) << r;
+        EXPECT_EQ(r.find(fp64k), std::string::npos) << r;
+    }
 }
 
 TEST(ServeRequest, EngineKeysAreIgnored)

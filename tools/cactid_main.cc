@@ -4,21 +4,24 @@
  * from a config file (or stdin) and print the chosen organization, a
  * CSV of the filtered solution space, or a capacity sweep.
  *
- * printHelp() (`--help`) lists every flag.
+ * The flag table in commandLine() drives parsing and `--help`.
  *
- * Exit codes: 0 success; 2 usage or configuration error; 3 internal
- * error (unexpected exception, failed output write).
+ * Exit codes: 0 success; 2 usage or configuration error, including a
+ * flag value below its bound (`--jobs -1`), a config key out of range
+ * (`jobs = -3`) and a config with no feasible organization; 3
+ * internal error (unexpected exception, failed output write).
  */
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cacti.hh"
-#include "obs/build_info.hh"
 #include "obs/export.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -32,47 +35,6 @@ namespace {
 using cactid::tools::withStream;
 
 constexpr const char *kTool = "cactid";
-
-void
-printHelp()
-{
-    std::printf(
-        "cactid - analytical memory modeling (CACTI-D reproduction)\n"
-        "\n"
-        "usage:\n"
-        "  cactid <config-file>              solve and report\n"
-        "  cactid <config-file> --csv        CSV of filtered solutions\n"
-        "  cactid <config-file> --sweep A,B  capacity sweep (K/M/G "
-        "suffixes)\n"
-        "  cactid <config-file> --jobs N     worker threads (0 = all "
-        "cores)\n"
-        "  cactid <config-file> --stats      print engine "
-        "instrumentation\n"
-        "  cactid <config-file> --trace FILE write profiling spans as "
-        "Chrome\n"
-        "                                    trace JSON (- for stdout)\n"
-        "  cactid <config-file> --profile    span summary on stderr\n"
-        "  cactid <config-file> --registry FILE\n"
-        "                                    solver counters as "
-        "cactid-obs-v1\n"
-        "  cactid <config-file> --cache on|off\n"
-        "                                    memoize solves (default "
-        "off,\n"
-        "                                    on when --cache-dir is "
-        "given)\n"
-        "  cactid <config-file> --cache-dir DIR\n"
-        "                                    persist cache records "
-        "under DIR\n"
-        "  cactid --version                  build stamp\n"
-        "  cactid -                          read the config from "
-        "stdin\n"
-        "\n"
-        "config keys: size block associativity banks type access_mode\n"
-        "  technology tag_technology feature_nm temperature_k sleep_tx\n"
-        "  ecc max_area max_acctime repeater_derate weight_* io_bits\n"
-        "  burst_length prefetch_width page_bytes address_bits jobs\n"
-        "  collect_all\n");
-}
 
 void
 printCsv(const cactid::SolveResult &res)
@@ -130,49 +92,42 @@ struct CliArgs {
     bool csv = false;
     bool stats = false;
     bool profile = false;
-    int jobs = -1; ///< -1: not given on the command line
-    bool version = false;
-    bool help = false;
-    bool ok = true;
+    int jobs = -1; ///< -1: not given (a given value is >= 0)
 };
 
-CliArgs
-parseArgs(int argc, char **argv)
+cactid::tools::CommandLine
+commandLine(CliArgs &a)
 {
-    CliArgs a;
-    cactid::tools::ArgReader f(kTool, argc, argv);
-    while (f.next()) {
-        if (f.is("--help") || f.is("-h"))
-            a.help = true;
-        else if (f.is("--version"))
-            a.version = true;
-        else if (f.is("--csv"))
-            a.csv = true;
-        else if (f.is("--stats"))
-            a.stats = true;
-        else if (f.is("--profile"))
-            a.profile = true;
-        else if (f.is("--trace"))
-            f.text(a.tracePath);
-        else if (f.is("--registry"))
-            f.text(a.registryPath);
-        else if (f.is("--cache"))
-            f.text(a.cacheMode);
-        else if (f.is("--cache-dir"))
-            f.text(a.cacheDir);
-        else if (f.is("--jobs"))
-            f.number(a.jobs);
-        else if (f.is("--sweep"))
-            f.text(a.sweep);
-        else if (f.arg()[0] == '-' && !f.is("-"))
-            f.fail(std::string("unknown flag ") + f.arg());
-        else if (a.configPath.empty())
-            a.configPath = f.arg();
-        else
-            f.fail(std::string("extra argument ") + f.arg());
-    }
-    a.ok = f.ok();
-    return a;
+    std::vector<cactid::tools::Flag> flags = {
+        {"--csv", nullptr, "print a CSV of the filtered solutions", &a.csv},
+        {"--sweep", "A,B", "capacity sweep (K/M/G suffixes)", &a.sweep},
+        {"--jobs", "N", "worker threads (0 = all cores; overrides the "
+         "config key jobs)", &a.jobs},
+        {"--stats", nullptr, "print engine instrumentation", &a.stats},
+        {"--trace", "FILE", "write profiling spans as Chrome trace JSON (- "
+         "for stdout)", &a.tracePath},
+        {"--profile", nullptr, "span summary on stderr", &a.profile},
+        {"--registry", "FILE", "solver counters as cactid-obs-v1",
+         &a.registryPath},
+        {"--cache", "on|off", "memoize solves (default off, on when "
+         "--cache-dir is given)", &a.cacheMode},
+        {"--cache-dir", "DIR", "persist cache records under DIR",
+         &a.cacheDir},
+    };
+    return {
+        kTool,
+        "cactid - analytical memory modeling (CACTI-D reproduction)\n\n"
+        "usage: cactid <config-file> [options]   (- reads the config "
+        "from stdin)\n",
+        std::move(flags),
+        "\nconfig keys: size block associativity banks type access_mode\n"
+        "  technology tag_technology feature_nm temperature_k sleep_tx\n"
+        "  ecc max_area max_acctime repeater_derate weight_* io_bits\n"
+        "  burst_length prefetch_width page_bytes address_bits jobs\n"
+        "  collect_all\n"
+        "\nexit codes: 0 success; 2 usage, configuration error or no "
+        "feasible\norganization; 3 internal error\n",
+        &a.configPath};
 }
 
 /**
@@ -209,17 +164,14 @@ emitSpans(const CliArgs &args)
 int
 main(int argc, char **argv)
 {
-    const CliArgs args = parseArgs(argc, argv);
-    if (!args.ok)
+    CliArgs args;
+    const cactid::tools::CommandLine cl = commandLine(args);
+    if (const std::optional<int> rc =
+            cactid::tools::parseCommandLine(cl, argc, argv))
+        return *rc;
+    if (args.configPath.empty()) {
+        std::fputs(cactid::tools::usage(cl).c_str(), stdout);
         return 2;
-    if (args.version) {
-        std::printf("%s\n",
-                    cactid::obs::versionLine("cactid").c_str());
-        return 0;
-    }
-    if (args.help || args.configPath.empty()) {
-        printHelp();
-        return args.help ? 0 : 2;
     }
     if (!args.tracePath.empty() || args.profile)
         cactid::obs::Tracer::instance().enable(true);

@@ -16,16 +16,19 @@
  * shards in any order produces the same bytes, and N shard dumps
  * produce the same report as the equivalent unsharded dump.
  *
- * Exit codes: 0 success; 2 usage error or unreadable/malformed
- * input; 3 output write failure.
+ * The flag table in commandLine() drives parsing and `--help`.
+ *
+ * Exit codes: 0 success; 2 usage error (a flag value below its
+ * bound, such as `--top -1`, included) or unreadable/malformed input;
+ * 3 output write failure.
  */
 
 #include <cstdio>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "obs/build_info.hh"
 #include "report.hh"
 #include "tools/cli.hh"
 
@@ -35,69 +38,36 @@ using cactid::tools::withStream;
 
 constexpr const char *kTool = "cactid-report";
 
-void
-printHelp()
-{
-    std::printf(
-        "cactid-report - merge sweep shards into a markdown report\n"
-        "\n"
-        "usage: cactid-report [options]\n"
-        "  --registry FILE    a cactid-obs-v1 registry dump\n"
-        "                     (repeatable, one per shard)\n"
-        "  --telemetry FILE   a cactid-telemetry-v1 JSONL stream\n"
-        "                     (repeatable; a live file without its\n"
-        "                     summary record is accepted)\n"
-        "  --out FILE         the markdown report (- for stdout;\n"
-        "                     default -)\n"
-        "  --top N            rows in the slowest-runs table\n"
-        "                     (default 10)\n"
-        "  --openmetrics FILE the merged registries as one\n"
-        "                     OpenMetrics document (- for stdout)\n"
-        "  --version          build stamp\n"
-        "  --help             this text\n");
-}
-
 struct CliArgs {
     std::vector<std::string> registryPaths;
     std::vector<std::string> telemetryPaths;
     std::string outPath = "-";
     std::string openMetricsPath;
     int topN = 10;
-    bool help = false;
-    bool version = false;
 };
 
-/** @return false (after printing the problem) on a usage error */
-bool
-parseArgs(int argc, char **argv, CliArgs &args)
+cactid::tools::CommandLine
+commandLine(CliArgs &a)
 {
-    cactid::tools::ArgReader f(kTool, argc, argv);
-    std::string path;
-    while (f.next()) {
-        if (f.is("--help") || f.is("-h")) {
-            args.help = true;
-        } else if (f.is("--version")) {
-            args.version = true;
-        } else if (f.is("--registry") || f.is("--telemetry")) {
-            auto &paths = f.is("--registry") ? args.registryPaths
-                                             : args.telemetryPaths;
-            f.text(path);
-            if (f.ok())
-                paths.push_back(path);
-        } else if (f.is("--out")) {
-            f.text(args.outPath);
-        } else if (f.is("--openmetrics")) {
-            f.text(args.openMetricsPath);
-        } else if (f.is("--top")) {
-            f.number(args.topN);
-            if (args.topN < 0)
-                f.fail("--top needs a value >= 0");
-        } else {
-            f.fail(std::string("unknown option '") + f.arg() +
-                   "' (--help for usage)");
-        }
-    }
-    return f.ok();
+    std::vector<cactid::tools::Flag> flags = {
+        {"--registry", "FILE", "a cactid-obs-v1 registry dump (repeatable, "
+         "one per shard)", &a.registryPaths},
+        {"--telemetry", "FILE", "a cactid-telemetry-v1 JSONL stream "
+         "(repeatable; a live file without its summary record is "
+         "accepted)", &a.telemetryPaths},
+        {"--out", "FILE", "the markdown report (- for stdout; default -)",
+         &a.outPath},
+        {"--top", "N", "rows in the slowest-runs table (default 10)",
+         &a.topN},
+        {"--openmetrics", "FILE", "the merged registries as one OpenMetrics "
+         "document (- for stdout)", &a.openMetricsPath},
+    };
+    return {kTool,
+            "cactid-report - merge sweep shards into a markdown report\n\n"
+            "usage: cactid-report [options]\n",
+            std::move(flags),
+            "\nexit codes: 0 success; 2 usage error or "
+            "unreadable/malformed\ninput; 3 output write failure\n"};
 }
 
 } // namespace
@@ -108,18 +78,9 @@ main(int argc, char **argv)
     using namespace cactid::tools;
 
     CliArgs args;
-    if (!parseArgs(argc, argv, args))
-        return 2;
-    if (args.help) {
-        printHelp();
-        return 0;
-    }
-    if (args.version) {
-        std::ostringstream os;
-        cactid::obs::writeBuildInfoJson(os);
-        std::printf("%s\n", os.str().c_str());
-        return 0;
-    }
+    if (const std::optional<int> rc =
+            parseCommandLine(commandLine(args), argc, argv))
+        return *rc;
     if (args.registryPaths.empty() && args.telemetryPaths.empty()) {
         std::fprintf(stderr,
                      "cactid-report: nothing to report: give at "

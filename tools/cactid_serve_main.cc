@@ -4,7 +4,7 @@
  * requests, optionally sharded across worker processes that share one
  * on-disk solve cache.
  *
- * printHelp() (`--help`) lists every flag.
+ * The flag table in commandLine() drives parsing and `--help`.
  *
  * Responses are rendered deterministically and carry their global
  * request index, so the sharded merge (ordered by index) is
@@ -14,27 +14,32 @@
  *
  * Exit codes: 0 every request answered ok; 1 stream served but some
  * request failed (parse error or infeasible config); 2 usage or
- * configuration error; 3 internal error (worker death, failed write).
+ * configuration error, including a flag value below its bound
+ * (`--jobs -1`, `--shards -1`); 3 internal error (worker death,
+ * failed write).
  */
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/solve_cache.hh"
-#include "obs/build_info.hh"
 #include "obs/registry.hh"
 #include "tools/cache_cli.hh"
 #include "tools/cli.hh"
 #include "tools/report.hh"
 #include "tools/serve.hh"
-#include "util/atomic_file.hh"
+#include "util/parse.hh"
 
 namespace {
 
@@ -42,41 +47,6 @@ using namespace cactid;
 using tools::withStream;
 
 constexpr const char *kTool = "cactid-serve";
-
-void
-printHelp()
-{
-    std::printf(
-        "cactid-serve - JSONL solve service over the batch engine\n"
-        "\n"
-        "usage: cactid-serve [options]\n"
-        "  --requests FILE    JSONL request stream (- for stdin;\n"
-        "                     default -)\n"
-        "  --out FILE         JSONL responses (- for stdout; default -)\n"
-        "  --jobs N           engine worker threads per process\n"
-        "                     (0 = all cores)\n"
-        "  --cache on|off     memoize solves in-process (default off,\n"
-        "                     on when --cache-dir is given)\n"
-        "  --cache-dir DIR    persist cache records under DIR, shared\n"
-        "                     across shards and runs; records from a\n"
-        "                     different build are rejected and\n"
-        "                     re-solved\n"
-        "  --registry FILE    serve + cache counters as cactid-obs-v1\n"
-        "  --openmetrics FILE the same counters as OpenMetrics text\n"
-        "  --shards N         fan the stream out over N worker\n"
-        "                     processes (round-robin by request index)\n"
-        "                     and merge responses/registries; needs\n"
-        "                     file paths for --requests/--out\n"
-        "  --shard I/N        worker mode: serve only requests with\n"
-        "                     index %% N == I\n"
-        "  --version          print the build stamp\n"
-        "\n"
-        "request:  {\"id\": \"x\", \"config\": {\"size\": \"24M\", ...}}\n"
-        "response: {\"index\": 0, \"id\": \"x\", \"status\": \"ok\", ...}\n"
-        "\n"
-        "exit codes: 0 all requests ok; 1 some request failed;\n"
-        "2 usage/configuration error; 3 internal error\n");
-}
 
 struct CliArgs {
     std::string requestsPath = "-";
@@ -87,61 +57,53 @@ struct CliArgs {
     int jobs = 0;
     int shards = 0;    ///< parent fan-out (0 = unsharded)
     int shardIndex = -1, shardCount = 0; ///< worker mode
-    bool version = false;
-    bool help = false;
-    bool ok = true;
 };
 
-CliArgs
-parseArgs(int argc, char **argv)
+tools::CommandLine
+commandLine(CliArgs &a)
 {
-    CliArgs a;
-    tools::ArgReader f(kTool, argc, argv);
-    while (f.next()) {
-        if (f.is("--help") || f.is("-h"))
-            a.help = true;
-        else if (f.is("--version"))
-            a.version = true;
-        else if (f.is("--requests"))
-            f.text(a.requestsPath);
-        else if (f.is("--out"))
-            f.text(a.outPath);
-        else if (f.is("--jobs"))
-            f.number(a.jobs);
-        else if (f.is("--cache"))
-            f.text(a.cacheMode);
-        else if (f.is("--cache-dir"))
-            f.text(a.cacheDir);
-        else if (f.is("--registry"))
-            f.text(a.registryPath);
-        else if (f.is("--openmetrics"))
-            f.text(a.openMetricsPath);
-        else if (f.is("--shards"))
-            f.number(a.shards);
-        else if (f.is("--shard")) {
-            const char *v = f.value();
-            const std::string_view spec = v ? v : "";
-            const std::size_t slash = spec.find('/');
-            const bool good =
-                slash != std::string_view::npos &&
-                util::parseNumber(spec.substr(0, slash), a.shardIndex) &&
-                util::parseNumber(spec.substr(slash + 1), a.shardCount) &&
-                0 <= a.shardIndex && a.shardIndex < a.shardCount;
-            if (v && !good)
-                f.fail("--shard needs I/N with 0 <= I < N (got " +
-                       std::string(v) + ")");
-        } else
-            f.fail(std::string("unknown flag ") + f.arg());
-    }
-    if (a.shards != 0 && a.shardIndex >= 0)
-        f.fail("--shards (parent) and --shard (worker) are exclusive");
-    else if (a.shards < 0)
-        f.fail("--shards needs a value >= 1");
-    else if (a.shards > 1 && (a.requestsPath == "-" || a.outPath == "-"))
-        f.fail("--shards needs file paths for --requests and --out "
-               "(workers re-read the stream)");
-    a.ok = f.ok();
-    return a;
+    const auto shard = [&a](const char *v) -> std::string {
+        const std::string_view spec = v;
+        const std::size_t slash = spec.find('/');
+        if (slash != std::string_view::npos &&
+            util::parseNumber(spec.substr(0, slash), a.shardIndex) &&
+            util::parseNumber(spec.substr(slash + 1), a.shardCount) &&
+            0 <= a.shardIndex && a.shardIndex < a.shardCount)
+            return "";
+        return "--shard needs I/N with 0 <= I < N (got " + std::string(v) +
+               ")";
+    };
+    std::vector<tools::Flag> flags = {
+        {"--requests", "FILE", "JSONL request stream (- for stdin; default "
+         "-)", &a.requestsPath},
+        {"--out", "FILE", "JSONL responses (- for stdout; default -)",
+         &a.outPath},
+        {"--jobs", "N", "engine worker threads per process (0 = all cores)",
+         &a.jobs},
+        {"--cache", "on|off", "memoize solves in-process (default off, on "
+         "when --cache-dir is given)", &a.cacheMode},
+        {"--cache-dir", "DIR", "persist cache records under DIR, shared "
+         "across shards and runs; records from a different build are "
+         "rejected and re-solved", &a.cacheDir},
+        {"--registry", "FILE", "serve + cache counters as cactid-obs-v1",
+         &a.registryPath},
+        {"--openmetrics", "FILE", "the same counters as OpenMetrics text",
+         &a.openMetricsPath},
+        {"--shards", "N", "fan the stream out over N worker processes "
+         "(round-robin by request index) and merge responses/registries; "
+         "needs file paths for --requests/--out", &a.shards},
+        {"--shard", "I/N", "worker mode: serve only requests with index % N "
+         "== I", shard},
+    };
+    return {
+        kTool,
+        "cactid-serve - JSONL solve service over the batch engine\n\n"
+        "usage: cactid-serve [options]\n",
+        std::move(flags),
+        "\nrequest:  {\"id\": \"x\", \"config\": {\"size\": \"24M\", ...}}\n"
+        "response: {\"index\": 0, \"id\": \"x\", \"status\": \"ok\", ...}\n"
+        "\nexit codes: 0 all requests ok; 1 some request failed;\n"
+        "2 usage/configuration error; 3 internal error\n"};
 }
 
 bool
@@ -367,20 +329,20 @@ serveSharded(const CliArgs &args)
 int
 main(int argc, char **argv)
 {
-    const CliArgs args = parseArgs(argc, argv);
-    if (!args.ok)
-        return 2;
-    if (args.version) {
-        std::printf("%s\n",
-                    obs::versionLine("cactid-serve").c_str());
-        return 0;
-    }
-    if (args.help) {
-        printHelp();
-        return 0;
-    }
+    CliArgs args;
+    if (const std::optional<int> rc =
+            tools::parseCommandLine(commandLine(args), argc, argv))
+        return *rc;
 
     return tools::runGuarded(kTool, [&] {
+        if (args.shards != 0 && args.shardIndex >= 0)
+            throw std::invalid_argument(
+                "--shards (parent) and --shard (worker) are exclusive");
+        if (args.shards > 1 &&
+            (args.requestsPath == "-" || args.outPath == "-"))
+            throw std::invalid_argument(
+                "--shards needs file paths for --requests and --out "
+                "(workers re-read the stream)");
         tools::installSolveCache(args.cacheMode, args.cacheDir);
         if (args.shards > 1)
             return serveSharded(args);

@@ -5,23 +5,28 @@
  * export the Figure-4/5 aggregates and the per-epoch metric streams
  * as JSON and CSV.
  *
- * printHelp() (`--help`) lists every flag; numeric flag values must
- * be whole integers.
+ * The flag table in commandLine() drives parsing and `--help`;
+ * numeric flag values must be whole integers at or above their bound.
  *
  * Exit codes: 0 every run Ok; 1 the sweep completed but some run is
- * non-Ok (failed / timed out); 2 usage or configuration error; 3
- * internal error (unexpected exception, failed output write).
+ * non-Ok (failed / timed out); 2 usage or configuration error,
+ * including a flag value below its bound (`--jobs -1`,
+ * `--threads-per-core -1`, `--cores -1`, `--instr 0`,
+ * `--trace-capacity 0`); 3 internal error (unexpected exception,
+ * failed output write).
  */
 
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "obs/build_info.hh"
 #include "obs/export.hh"
 #include "obs/trace.hh"
 #include "sim/resilience.hh"
@@ -35,90 +40,6 @@ using namespace archsim;
 using cactid::tools::withStream;
 
 constexpr const char *kTool = "cactid-study";
-
-void
-printHelp()
-{
-    std::printf(
-        "cactid-study - parallel LLC study sweep (paper section 4)\n"
-        "\n"
-        "usage: cactid-study [options]\n"
-        "  --jobs N           worker threads (0 = all cores; default 0)\n"
-        "  --instr N          instructions per hardware thread\n"
-        "                     (default: ARCHSIM_INSTR or 150000)\n"
-        "  --epoch N          epoch sampling interval in CPU cycles\n"
-        "                     (default 20000; 0 disables sampling)\n"
-        "  --configs a,b      subset of: nol3 sram lp_dram_ed lp_dram_c\n"
-        "                     cm_dram_ed cm_dram_c\n"
-        "  --workloads x,y    subset of: bt.C cg.C ft.B is.C lu.C mg.B\n"
-        "                     sp.C ua.C\n"
-        "  --json FILE        write the sweep as JSON (- for stdout)\n"
-        "  --csv FILE         write per-epoch metrics CSV (- for stdout)\n"
-        "  --summary-csv FILE write per-run aggregate CSV (- for stdout)\n"
-        "  --no-thermal       skip stack-temperature solves\n"
-        "  --table3           print the Table-3 projections first\n"
-        "  --quiet            suppress the aggregate table\n"
-        "  --trace FILE       write simulator events as Chrome trace\n"
-        "                     JSON (- for stdout; simulated-cycle\n"
-        "                     clock, byte-identical for any --jobs)\n"
-        "  --trace-capacity N per-run event ring size (default 16384)\n"
-        "  --cache on|off     memoize the study's LLC solves (default\n"
-        "                     off, on when --cache-dir is given; the\n"
-        "                     sweep output is byte-identical either\n"
-        "                     way)\n"
-        "  --cache-dir DIR    persist solve-cache records under DIR,\n"
-        "                     shared across runs; records from another\n"
-        "                     build are rejected and re-solved\n"
-        "  --registry FILE    write per-run counters as cactid-obs-v1\n"
-        "  --openmetrics FILE write per-run counters in the\n"
-        "                     OpenMetrics text exposition (- for\n"
-        "                     stdout; run=\"workload/config\" labels)\n"
-        "  --latency-histograms\n"
-        "                     record per-level access-latency and\n"
-        "                     queueing distributions (sim.lat.* in\n"
-        "                     the registry, percentiles in the JSON;\n"
-        "                     byte-identical for any --jobs)\n"
-        "  --telemetry FILE   append a live cactid-telemetry-v1 JSONL\n"
-        "                     snapshot (atomically rewritten; wall-\n"
-        "                     clock fields under per-record \"host\"\n"
-        "                     objects, everything else deterministic)\n"
-        "  --telemetry-interval MS\n"
-        "                     heartbeat period in milliseconds\n"
-        "                     (default 1000)\n"
-        "  --profile          wall-clock span summary on stderr\n"
-        "  --checkpoint DIR   persist each completed run atomically\n"
-        "                     under DIR (incompatible with --trace)\n"
-        "  --resume           with --checkpoint: reuse valid records,\n"
-        "                     re-run missing/failed; merged output is\n"
-        "                     byte-identical to an uninterrupted sweep\n"
-        "  --max-cycles N     per-run simulated-cycle budget; a run\n"
-        "                     over budget lands as timed_out at a\n"
-        "                     deterministic cycle (0 = unlimited)\n"
-        "  --max-wall-ms N    per-run wall-clock budget in ms\n"
-        "                     (machine-dependent; 0 = unlimited)\n"
-        "  --retry N          total attempts per failed run\n"
-        "                     (default 1 = no retry)\n"
-        "  --retry-timeouts   also retry timed-out runs\n"
-        "  --cores N          cores per simulated system (default 8;\n"
-        "                     >16 needs a directory: auto switches to\n"
-        "                     the sparse directory with a warning)\n"
-        "  --threads-per-core N\n"
-        "                     hardware threads per core (default 4)\n"
-        "  --dir-mode MODE    sharer tracking: auto (default),\n"
-        "                     broadcast, or sparse (limited-pointer\n"
-        "                     directory)\n"
-        "  --dir-sets N       sparse-directory sets (power of two;\n"
-        "                     0 = auto-size to 2x the L2 lines)\n"
-        "  --dir-assoc N      sparse-directory ways per set (default 8)\n"
-        "  --dir-pointers N   exact core pointers per entry (default 4)\n"
-        "  --fault-plan SPEC  inject deterministic faults (testing);\n"
-        "                     SPEC = INDEX@SITE[:CYCLE][xN],... with\n"
-        "                     SITE one of solve step timeout export\n"
-        "  --version          print the build stamp\n"
-        "\n"
-        "exit codes: 0 all runs ok; 1 sweep completed with non-ok\n"
-        "runs; 2 usage/configuration error; 3 internal error\n");
-}
 
 std::vector<std::string>
 splitList(const std::string &list)
@@ -135,148 +56,148 @@ splitList(const std::string &list)
 
 struct CliArgs {
     int jobs = 0;
-    std::uint64_t instr = 0;
-    archsim::Cycle epoch = 20000;
+    std::uint64_t instr = 0; ///< 0: not given (a given value is >= 1)
+    std::uint64_t epoch = 20000;
     std::string configs, workloads;
     std::string jsonPath, csvPath, summaryPath;
     std::string tracePath, registryPath, openMetricsPath;
     std::string telemetryPath;
-    std::uint64_t telemetryIntervalMs = 1000;
-    bool telemetryIntervalSet = false;
+    std::uint64_t telemetryIntervalMs = 0; ///< 0: not given
     bool latencyHistograms = false;
     std::string checkpointDir, faultPlanSpec;
     std::string cacheMode, cacheDir;
-    std::size_t traceCapacity = 1 << 14;
-    archsim::Cycle maxCycles = 0;
+    std::uint64_t traceCapacity = 1 << 14;
+    std::uint64_t maxCycles = 0;
     std::uint64_t maxWallMs = 0;
     int retry = 1;
     int cores = 0;
     int threadsPerCore = 0;
     std::string dirMode = "auto";
-    std::size_t dirSets = 0;
+    std::uint64_t dirSets = 0;
     int dirAssoc = 8;
     int dirPointers = 4;
     bool retryTimeouts = false;
     bool resume = false;
     bool profile = false;
-    bool thermal = true;
+    bool noThermal = false;
     bool table3 = false;
     bool quiet = false;
-    bool version = false;
-    bool help = false;
-    bool ok = true;
 };
 
-CliArgs
-parseArgs(int argc, char **argv)
+cactid::tools::CommandLine
+commandLine(CliArgs &a)
 {
-    CliArgs a;
-    cactid::tools::ArgReader f(kTool, argc, argv);
-    while (f.next()) {
-        if (f.is("--help") || f.is("-h"))
-            a.help = true;
-        else if (f.is("--jobs"))
-            f.number(a.jobs);
-        else if (f.is("--instr"))
-            f.number(a.instr);
-        else if (f.is("--epoch"))
-            f.number(a.epoch);
-        else if (f.is("--configs"))
-            f.text(a.configs);
-        else if (f.is("--workloads"))
-            f.text(a.workloads);
-        else if (f.is("--json"))
-            f.text(a.jsonPath);
-        else if (f.is("--csv"))
-            f.text(a.csvPath);
-        else if (f.is("--summary-csv"))
-            f.text(a.summaryPath);
-        else if (f.is("--trace"))
-            f.text(a.tracePath);
-        else if (f.is("--trace-capacity"))
-            f.number(a.traceCapacity);
-        else if (f.is("--registry"))
-            f.text(a.registryPath);
-        else if (f.is("--openmetrics"))
-            f.text(a.openMetricsPath);
-        else if (f.is("--telemetry"))
-            f.text(a.telemetryPath);
-        else if (f.is("--telemetry-interval")) {
-            f.number(a.telemetryIntervalMs);
-            a.telemetryIntervalSet = true;
-        } else if (f.is("--latency-histograms"))
-            a.latencyHistograms = true;
-        else if (f.is("--cache"))
-            f.text(a.cacheMode);
-        else if (f.is("--cache-dir"))
-            f.text(a.cacheDir);
-        else if (f.is("--checkpoint"))
-            f.text(a.checkpointDir);
-        else if (f.is("--resume"))
-            a.resume = true;
-        else if (f.is("--max-cycles"))
-            f.number(a.maxCycles);
-        else if (f.is("--max-wall-ms"))
-            f.number(a.maxWallMs);
-        else if (f.is("--retry"))
-            f.number(a.retry);
-        else if (f.is("--cores"))
-            f.number(a.cores);
-        else if (f.is("--threads-per-core"))
-            f.number(a.threadsPerCore);
-        else if (f.is("--dir-mode"))
-            f.text(a.dirMode);
-        else if (f.is("--dir-sets"))
-            f.number(a.dirSets);
-        else if (f.is("--dir-assoc"))
-            f.number(a.dirAssoc);
-        else if (f.is("--dir-pointers"))
-            f.number(a.dirPointers);
-        else if (f.is("--retry-timeouts"))
-            a.retryTimeouts = true;
-        else if (f.is("--fault-plan"))
-            f.text(a.faultPlanSpec);
-        else if (f.is("--profile"))
-            a.profile = true;
-        else if (f.is("--version"))
-            a.version = true;
-        else if (f.is("--no-thermal"))
-            a.thermal = false;
-        else if (f.is("--table3"))
-            a.table3 = true;
-        else if (f.is("--quiet"))
-            a.quiet = true;
-        else
-            f.fail(std::string("unknown flag ") + f.arg());
-    }
+    std::vector<cactid::tools::Flag> flags = {
+        {"--jobs", "N", "worker threads (0 = all cores; default 0)", &a.jobs},
+        {"--instr", "N", "instructions per hardware thread (default: "
+         "ARCHSIM_INSTR or 150000)", &a.instr, 1},
+        {"--epoch", "N", "epoch sampling interval in CPU cycles (default "
+         "20000; 0 disables sampling)", &a.epoch},
+        {"--configs", "a,b", "subset of: nol3 sram lp_dram_ed lp_dram_c "
+         "cm_dram_ed cm_dram_c", &a.configs},
+        {"--workloads", "x,y", "subset of: bt.C cg.C ft.B is.C lu.C mg.B "
+         "sp.C ua.C", &a.workloads},
+        {"--json", "FILE", "write the sweep as JSON (- for stdout)",
+         &a.jsonPath},
+        {"--csv", "FILE", "write per-epoch metrics CSV (- for stdout)",
+         &a.csvPath},
+        {"--summary-csv", "FILE", "write per-run aggregate CSV (- for "
+         "stdout)", &a.summaryPath},
+        {"--no-thermal", nullptr, "skip stack-temperature solves",
+         &a.noThermal},
+        {"--table3", nullptr, "print the Table-3 projections first",
+         &a.table3},
+        {"--quiet", nullptr, "suppress the aggregate table", &a.quiet},
+        {"--trace", "FILE", "write simulator events as Chrome trace JSON "
+         "(- for stdout; simulated-cycle clock, byte-identical for any "
+         "--jobs)", &a.tracePath},
+        {"--trace-capacity", "N", "per-run event ring size (default 16384)",
+         &a.traceCapacity, 1},
+        {"--cache", "on|off", "memoize the study's LLC solves (default off, "
+         "on when --cache-dir is given; the sweep output is byte-identical "
+         "either way)", &a.cacheMode},
+        {"--cache-dir", "DIR", "persist solve-cache records under DIR, "
+         "shared across runs; records from another build are rejected and "
+         "re-solved", &a.cacheDir},
+        {"--registry", "FILE", "write per-run counters as cactid-obs-v1",
+         &a.registryPath},
+        {"--openmetrics", "FILE", "write per-run counters in the "
+         "OpenMetrics text exposition (- for stdout; "
+         "run=\"workload/config\" labels)", &a.openMetricsPath},
+        {"--latency-histograms", nullptr, "record per-level access-latency "
+         "and queueing distributions (sim.lat.* in the registry, "
+         "percentiles in the JSON; byte-identical for any --jobs)",
+         &a.latencyHistograms},
+        {"--telemetry", "FILE", "append a live cactid-telemetry-v1 JSONL "
+         "snapshot (atomically rewritten; wall-clock fields under "
+         "per-record \"host\" objects, everything else deterministic)",
+         &a.telemetryPath},
+        {"--telemetry-interval", "MS", "heartbeat period in milliseconds "
+         "(default 1000)", &a.telemetryIntervalMs, 1},
+        {"--profile", nullptr, "wall-clock span summary on stderr",
+         &a.profile},
+        {"--checkpoint", "DIR", "persist each completed run atomically "
+         "under DIR (incompatible with --trace)", &a.checkpointDir},
+        {"--resume", nullptr, "with --checkpoint: reuse valid records, "
+         "re-run missing/failed; merged output is byte-identical to an "
+         "uninterrupted sweep", &a.resume},
+        {"--max-cycles", "N", "per-run simulated-cycle budget; a run over "
+         "budget lands as timed_out at a deterministic cycle (0 = "
+         "unlimited)", &a.maxCycles},
+        {"--max-wall-ms", "N", "per-run wall-clock budget in ms "
+         "(machine-dependent; 0 = unlimited)", &a.maxWallMs},
+        {"--retry", "N", "total attempts per failed run (default 1 = no "
+         "retry)", &a.retry, 1},
+        {"--retry-timeouts", nullptr, "also retry timed-out runs",
+         &a.retryTimeouts},
+        {"--cores", "N", "cores per simulated system (0 = the default of 8; "
+         ">16 needs a directory: auto switches to the sparse directory with "
+         "a warning)", &a.cores},
+        {"--threads-per-core", "N", "hardware threads per core (0 = the "
+         "default of 4)", &a.threadsPerCore},
+        {"--dir-mode", "MODE", "sharer tracking: auto (default), broadcast, "
+         "or sparse (limited-pointer directory)", &a.dirMode},
+        {"--dir-sets", "N", "sparse-directory sets (power of two; 0 = "
+         "auto-size to 2x the L2 lines)", &a.dirSets},
+        {"--dir-assoc", "N", "sparse-directory ways per set (default 8)",
+         &a.dirAssoc, 1},
+        {"--dir-pointers", "N", "exact core pointers per entry (default 4)",
+         &a.dirPointers, 1},
+        {"--fault-plan", "SPEC", "inject deterministic faults (testing); "
+         "SPEC = INDEX@SITE[:CYCLE][xN],... with SITE one of solve step "
+         "timeout export", &a.faultPlanSpec},
+    };
+    return {kTool,
+            "cactid-study - parallel LLC study sweep (paper section 4)\n\n"
+            "usage: cactid-study [options]\n",
+            std::move(flags),
+            "\nexit codes: 0 all runs ok; 1 sweep completed with non-ok\n"
+            "runs; 2 usage/configuration error; 3 internal error\n"};
+}
+
+/** The rules that join flags, checked after the walk. */
+void
+checkCombinations(const CliArgs &a)
+{
+    using E = std::invalid_argument;
     if (a.resume && a.checkpointDir.empty())
-        f.fail("--resume requires --checkpoint");
+        throw E("--resume requires --checkpoint");
     if (!a.checkpointDir.empty() && !a.tracePath.empty())
-        f.fail("--checkpoint cannot be combined with --trace (event "
-               "streams are not checkpointed)");
+        throw E("--checkpoint cannot be combined with --trace (event "
+                "streams are not checkpointed)");
     if (!a.checkpointDir.empty() && a.latencyHistograms)
-        f.fail("--checkpoint cannot be combined with "
-               "--latency-histograms (distributions are not "
-               "checkpointed)");
-    if (a.telemetryIntervalSet && a.telemetryPath.empty())
-        f.fail("--telemetry-interval requires --telemetry");
-    if (a.telemetryIntervalSet && a.telemetryIntervalMs < 1)
-        f.fail("--telemetry-interval needs a value >= 1");
-    if (a.retry < 1)
-        f.fail("--retry needs a value >= 1");
+        throw E("--checkpoint cannot be combined with "
+                "--latency-histograms (distributions are not "
+                "checkpointed)");
+    if (a.telemetryIntervalMs && a.telemetryPath.empty())
+        throw E("--telemetry-interval requires --telemetry");
     if (a.dirMode != "auto" && a.dirMode != "broadcast" &&
         a.dirMode != "sparse")
-        f.fail("--dir-mode must be auto, broadcast or sparse (got " +
-               a.dirMode + ")");
-    if (a.cores < 0)
-        f.fail("--cores needs a value >= 1");
+        throw E("--dir-mode must be auto, broadcast or sparse (got " +
+                a.dirMode + ")");
     if (a.dirSets != 0 && (a.dirSets & (a.dirSets - 1)) != 0)
-        f.fail("--dir-sets must be a power of two (got " +
-               std::to_string(a.dirSets) + ")");
-    if (a.dirAssoc < 1 || a.dirPointers < 1)
-        f.fail("--dir-assoc and --dir-pointers need values >= 1");
-    a.ok = f.ok();
-    return a;
+        throw E("--dir-sets must be a power of two (got " +
+                std::to_string(a.dirSets) + ")");
 }
 
 void
@@ -325,23 +246,15 @@ printAggregates(const std::vector<RunResult> &runs, bool thermal)
 int
 main(int argc, char **argv)
 {
-    const CliArgs args = parseArgs(argc, argv);
-    if (!args.ok)
-        return 2;
-    if (args.version) {
-        std::printf(
-            "%s\n",
-            cactid::obs::versionLine("cactid-study").c_str());
-        return 0;
-    }
-    if (args.help) {
-        printHelp();
-        return 0;
-    }
+    CliArgs args;
+    if (const std::optional<int> rc = cactid::tools::parseCommandLine(
+            commandLine(args), argc, argv))
+        return *rc;
     if (args.profile)
         cactid::obs::Tracer::instance().enable(true);
 
     return cactid::tools::runGuarded(kTool, [&] {
+        checkCombinations(args);
         // Install the solve cache before the Study constructor runs
         // its eight LLC solves, so those are memoized too.
         cactid::tools::installSolveCache(args.cacheMode, args.cacheDir);
@@ -354,7 +267,7 @@ main(int argc, char **argv)
         opts.jobs = args.jobs;
         opts.instrPerThread = args.instr;
         opts.epochCycles = args.epoch;
-        opts.thermal = args.thermal;
+        opts.thermal = !args.noThermal;
         opts.configs = splitList(args.configs);
         opts.workloads = splitList(args.workloads);
         opts.trace = !args.tracePath.empty();
@@ -368,7 +281,8 @@ main(int argc, char **argv)
         bool telem_ok = true;
         if (!args.telemetryPath.empty()) {
             opts.telemetry.path = args.telemetryPath;
-            opts.telemetry.intervalMs = args.telemetryIntervalMs;
+            if (args.telemetryIntervalMs)
+                opts.telemetry.intervalMs = args.telemetryIntervalMs;
             opts.telemetry.onError = [&](const std::string &msg) {
                 const std::lock_guard<std::mutex> lock(telem_mtx);
                 telem_ok = false;
@@ -451,7 +365,7 @@ main(int argc, char **argv)
         const std::vector<RunResult> runs = runner.runAll();
 
         if (!args.quiet)
-            printAggregates(runs, args.thermal);
+            printAggregates(runs, !args.noThermal);
 
         bool io_ok = true;
         if (!args.jsonPath.empty())

@@ -1,68 +1,70 @@
 /**
  * @file
- * What every tool main shares: one argv walker with checked flag
- * values, one output sink for `--flag FILE|-` options and one mapping
- * of escaping exceptions to exit codes.
+ * What every tool main shares: one flag table that drives argv
+ * parsing, bounds and `--help`; one output sink for `--flag FILE|-`
+ * options; and one mapping of escaping exceptions to exit codes.
  */
 
 #ifndef CACTID_TOOLS_CLI_HH
 #define CACTID_TOOLS_CLI_HH
 
-#include <cstring>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <string>
-
-#include "util/parse.hh"
+#include <variant>
+#include <vector>
 
 namespace cactid::tools {
 
 /**
- * Walks a tool's argv.  The first usage error prints one
- * `<tool>: <problem>` line on stderr and ends the walk (later errors
- * are not printed); the tools then exit 2.
+ * One command-line flag, written once: parseCommandLine() parses it
+ * and usage() lists it from the same entry.
  */
-class ArgReader
-{
-  public:
-    ArgReader(const char *tool, int argc, char **argv)
-        : tool_(tool), argc_(argc), argv_(argv)
-    {}
+struct Flag {
+    /** An odd flag's parser: "" when @p value is taken, else the
+        problem. */
+    using Setter = std::function<std::string(const char *value)>;
 
-    /** Step to the next argument; false at the end or after an error. */
-    bool next() { return ok_ && ++i_ < argc_; }
-
-    const char *arg() const { return argv_[i_]; }
-    bool is(const char *flag) const { return !std::strcmp(arg(), flag); }
-    bool ok() const { return ok_; }
-
-    /** The current flag's value (the next argument), or nullptr. */
-    const char *value();
-
-    /** The current flag's value into @p out. */
-    void text(std::string &out);
-
-    /** The current flag's value as a whole decimal integer. */
-    template <class T>
-    void
-    number(T &out)
-    {
-        const std::string flag = arg();
-        const char *v = value();
-        if (v && !util::parseNumber(v, out))
-            fail(flag + " needs an integer (got " + v + ")");
-    }
-
-    /** Report a usage error (only the first is printed). */
-    void fail(const std::string &problem);
-
-  private:
-    const char *tool_;
-    int argc_;
-    char **argv_;
-    int i_ = 0;
-    bool ok_ = true;
+    const char *name;  ///< e.g. "--jobs"
+    const char *value; ///< "N", "FILE"...; nullptr for a switch
+    const char *help;  ///< usage() wraps it into the help column
+    /**
+     * A switch sets its bool.  A text value is stored, or appended
+     * when the flag is repeatable.  A number must be one whole
+     * decimal integer >= min.
+     */
+    std::variant<bool *, std::string *, std::vector<std::string> *, int *,
+                 std::uint64_t *, Setter>
+        target;
+    long long min = 0;
 };
+
+/** A tool's command line: its flag table and the text around it. */
+struct CommandLine {
+    const char *tool;     ///< error prefix and `--version` name
+    const char *synopsis; ///< what `--help` prints above the flags
+    std::vector<Flag> flags;
+    const char *epilog; ///< ... and below them (exit codes, examples)
+    /** Where the one non-flag argument ("-" included) goes; nullptr: none. */
+    std::string *operand = nullptr;
+};
+
+/** The `--help` text: synopsis, one entry per flag, epilog. */
+std::string usage(const CommandLine &cl);
+
+/**
+ * Walk @p argv against @p cl's table.  The walker also owns
+ * `--help`/`-h` (usage on stdout), `--version` (obs::versionLine) and
+ * the first usage error: one `<tool>: <problem>` line on stderr, later
+ * errors unprinted.  A flag not given keeps its target's value.
+ *
+ * @return nothing when the tool should run; otherwise main's exit
+ *         code: 0 after `--version` or `--help`, 2 after an error
+ */
+std::optional<int> parseCommandLine(const CommandLine &cl, int argc,
+                                    char **argv);
 
 /**
  * Render through @p fn to stdout when @p path is "-", else atomically
@@ -75,9 +77,9 @@ bool withStream(const char *tool, const std::string &path,
 
 /**
  * Run a tool's @p body and return its exit code, or 2 when a
- * std::invalid_argument escapes (a bad config or spec, printed as
- * `<tool>: <what>`), or 3 for any other exception (`<tool>: internal
- * error: <what>`).
+ * std::invalid_argument or an InfeasibleConfig escapes (a bad config,
+ * flag combination or spec, printed as `<tool>: <what>`), or 3 for any
+ * other exception (`<tool>: internal error: <what>`).
  */
 int runGuarded(const char *tool, const std::function<int()> &body);
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/parse.hh"
@@ -36,19 +35,18 @@ lower(std::string s)
 }
 
 bool
-parseBool(const std::string &v, int line_no)
+parseBool(const std::string &v)
 {
     const std::string s = lower(v);
     if (s == "true" || s == "1" || s == "yes")
         return true;
     if (s == "false" || s == "0" || s == "no")
         return false;
-    throw std::invalid_argument("line " + std::to_string(line_no) +
-                                ": expected boolean, got '" + v + "'");
+    throw std::invalid_argument("expected boolean, got '" + v + "'");
 }
 
 RamCellTech
-parseTech(const std::string &v, int line_no)
+parseTech(const std::string &v)
 {
     const std::string s = lower(v);
     if (s == "sram")
@@ -57,8 +55,7 @@ parseTech(const std::string &v, int line_no)
         return RamCellTech::LpDram;
     if (s == "comm-dram" || s == "commdram" || s == "dram")
         return RamCellTech::CommDram;
-    throw std::invalid_argument("line " + std::to_string(line_no) +
-                                ": unknown technology '" + v + "'");
+    throw std::invalid_argument("unknown technology '" + v + "'");
 }
 
 /** parseCapacity's value, or false when @p text is not a capacity. */
@@ -94,137 +91,136 @@ parseCapacity(const std::string &text)
     return bytes;
 }
 
+void
+applyConfigKey(MemoryConfig &cfg, SolverOptions &eng,
+               const std::string &key_text, const std::string &value_text)
+{
+    const std::string key = lower(trim(key_text));
+    const std::string value = trim(value_text);
+    if (value.empty())
+        throw std::invalid_argument("empty value for " + key);
+
+    const auto bad = [&](const char *what) {
+        throw std::invalid_argument(key + " needs " + what + " (got " +
+                                    value + ")");
+    };
+    // nan and inf parse as doubles but are no design parameter; a
+    // nan weight would leave the optimizer without a best solution.
+    const auto num = [&] {
+        double v = 0.0;
+        if (!util::parseNumber(value, v) || !std::isfinite(v))
+            bad("a finite number");
+        return v;
+    };
+    const auto integer = [&] {
+        int v = 0;
+        if (!util::parseNumber(value, v))
+            bad("an integer");
+        return v;
+    };
+
+    if (key == "size") {
+        if (!capacityValue(value, cfg.capacityBytes))
+            bad("a capacity such as 24M");
+    } else if (key == "block") {
+        cfg.blockBytes = integer();
+    } else if (key == "associativity") {
+        cfg.associativity = integer();
+    } else if (key == "banks") {
+        cfg.nBanks = integer();
+    } else if (key == "type") {
+        const std::string v = lower(value);
+        if (v == "ram")
+            cfg.type = MemoryType::PlainRam;
+        else if (v == "cache")
+            cfg.type = MemoryType::Cache;
+        else if (v == "main_memory" || v == "main-memory")
+            cfg.type = MemoryType::MainMemoryChip;
+        else
+            throw std::invalid_argument("unknown type '" + value + "'");
+    } else if (key == "access_mode") {
+        const std::string v = lower(value);
+        if (v == "normal")
+            cfg.accessMode = AccessMode::Normal;
+        else if (v == "sequential")
+            cfg.accessMode = AccessMode::Sequential;
+        else if (v == "fast")
+            cfg.accessMode = AccessMode::Fast;
+        else
+            throw std::invalid_argument("unknown access mode '" + value +
+                                        "'");
+    } else if (key == "technology") {
+        cfg.dataCellTech = parseTech(value);
+    } else if (key == "tag_technology") {
+        cfg.tagCellTech = parseTech(value);
+    } else if (key == "feature_nm") {
+        cfg.featureNm = num();
+    } else if (key == "temperature_k") {
+        cfg.temperatureK = num();
+    } else if (key == "sleep_tx") {
+        cfg.sleepTransistors = parseBool(value);
+    } else if (key == "ecc") {
+        cfg.includeEcc = parseBool(value);
+    } else if (key == "max_area") {
+        cfg.maxAreaConstraint = num();
+    } else if (key == "max_acctime") {
+        cfg.maxAccTimeConstraint = num();
+    } else if (key == "repeater_derate") {
+        cfg.repeaterDerate = num();
+    } else if (key == "weight_dynamic") {
+        cfg.weights.dynamicEnergy = num();
+    } else if (key == "weight_leakage") {
+        cfg.weights.leakage = num();
+    } else if (key == "weight_cycle") {
+        cfg.weights.randomCycle = num();
+    } else if (key == "weight_interleave") {
+        cfg.weights.interleaveCycle = num();
+    } else if (key == "weight_acctime") {
+        cfg.weights.accessTime = num();
+    } else if (key == "weight_area") {
+        cfg.weights.area = num();
+    } else if (key == "io_bits") {
+        cfg.ioBits = integer();
+    } else if (key == "burst_length") {
+        cfg.burstLength = integer();
+    } else if (key == "prefetch_width") {
+        cfg.prefetchWidth = integer();
+    } else if (key == "page_bytes") {
+        cfg.pageBytes = integer();
+    } else if (key == "address_bits") {
+        cfg.physicalAddressBits = integer();
+    } else if (key == "jobs") {
+        eng.jobs = integer();
+        if (eng.jobs < 0)
+            bad("an integer >= 0");
+    } else if (key == "collect_all") {
+        eng.collectAll = parseBool(value);
+    } else {
+        throw std::invalid_argument("unknown key '" + key + "'");
+    }
+}
+
 MemoryConfig
 parseConfig(std::istream &in, SolverOptions *opts)
 {
     MemoryConfig cfg;
     SolverOptions discard;
-    SolverOptions &eng = opts ? *opts : discard;
     std::string line;
-    int line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
+    for (int line_no = 1; std::getline(in, line); ++line_no) {
         const auto hash = line.find('#');
         if (hash != std::string::npos)
             line.erase(hash);
-        line = trim(line);
-        if (line.empty())
+        if (trim(line).empty())
             continue;
         const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            throw std::invalid_argument(
-                "line " + std::to_string(line_no) + ": expected key = "
-                "value");
-        }
-        const std::string key = lower(trim(line.substr(0, eq)));
-        const std::string value = trim(line.substr(eq + 1));
-        if (value.empty()) {
-            throw std::invalid_argument("line " +
-                                        std::to_string(line_no) +
-                                        ": empty value for " + key);
-        }
-
-        const auto bad = [&](const char *what) {
+        try {
+            if (eq == std::string::npos)
+                throw std::invalid_argument("expected key = value");
+            applyConfigKey(cfg, opts ? *opts : discard, line.substr(0, eq),
+                           line.substr(eq + 1));
+        } catch (const std::invalid_argument &e) {
             throw std::invalid_argument("line " + std::to_string(line_no) +
-                                        ": " + key + " needs " + what +
-                                        " (got " + value + ")");
-        };
-        // nan and inf parse as doubles but are no design parameter; a
-        // nan weight would leave the optimizer without a best solution.
-        const auto num = [&] {
-            double v = 0.0;
-            if (!util::parseNumber(value, v) || !std::isfinite(v))
-                bad("a finite number");
-            return v;
-        };
-        const auto integer = [&] {
-            int v = 0;
-            if (!util::parseNumber(value, v))
-                bad("an integer");
-            return v;
-        };
-
-        if (key == "size") {
-            if (!capacityValue(value, cfg.capacityBytes))
-                bad("a capacity such as 24M");
-        } else if (key == "block") {
-            cfg.blockBytes = integer();
-        } else if (key == "associativity") {
-            cfg.associativity = integer();
-        } else if (key == "banks") {
-            cfg.nBanks = integer();
-        } else if (key == "type") {
-            const std::string v = lower(value);
-            if (v == "ram")
-                cfg.type = MemoryType::PlainRam;
-            else if (v == "cache")
-                cfg.type = MemoryType::Cache;
-            else if (v == "main_memory" || v == "main-memory")
-                cfg.type = MemoryType::MainMemoryChip;
-            else
-                throw std::invalid_argument(
-                    "line " + std::to_string(line_no) +
-                    ": unknown type '" + value + "'");
-        } else if (key == "access_mode") {
-            const std::string v = lower(value);
-            if (v == "normal")
-                cfg.accessMode = AccessMode::Normal;
-            else if (v == "sequential")
-                cfg.accessMode = AccessMode::Sequential;
-            else if (v == "fast")
-                cfg.accessMode = AccessMode::Fast;
-            else
-                throw std::invalid_argument(
-                    "line " + std::to_string(line_no) +
-                    ": unknown access mode '" + value + "'");
-        } else if (key == "technology") {
-            cfg.dataCellTech = parseTech(value, line_no);
-        } else if (key == "tag_technology") {
-            cfg.tagCellTech = parseTech(value, line_no);
-        } else if (key == "feature_nm") {
-            cfg.featureNm = num();
-        } else if (key == "temperature_k") {
-            cfg.temperatureK = num();
-        } else if (key == "sleep_tx") {
-            cfg.sleepTransistors = parseBool(value, line_no);
-        } else if (key == "ecc") {
-            cfg.includeEcc = parseBool(value, line_no);
-        } else if (key == "max_area") {
-            cfg.maxAreaConstraint = num();
-        } else if (key == "max_acctime") {
-            cfg.maxAccTimeConstraint = num();
-        } else if (key == "repeater_derate") {
-            cfg.repeaterDerate = num();
-        } else if (key == "weight_dynamic") {
-            cfg.weights.dynamicEnergy = num();
-        } else if (key == "weight_leakage") {
-            cfg.weights.leakage = num();
-        } else if (key == "weight_cycle") {
-            cfg.weights.randomCycle = num();
-        } else if (key == "weight_interleave") {
-            cfg.weights.interleaveCycle = num();
-        } else if (key == "weight_acctime") {
-            cfg.weights.accessTime = num();
-        } else if (key == "weight_area") {
-            cfg.weights.area = num();
-        } else if (key == "io_bits") {
-            cfg.ioBits = integer();
-        } else if (key == "burst_length") {
-            cfg.burstLength = integer();
-        } else if (key == "prefetch_width") {
-            cfg.prefetchWidth = integer();
-        } else if (key == "page_bytes") {
-            cfg.pageBytes = integer();
-        } else if (key == "address_bits") {
-            cfg.physicalAddressBits = integer();
-        } else if (key == "jobs") {
-            eng.jobs = integer();
-        } else if (key == "collect_all") {
-            eng.collectAll = parseBool(value, line_no);
-        } else {
-            throw std::invalid_argument("line " +
-                                        std::to_string(line_no) +
-                                        ": unknown key '" + key + "'");
+                                        ": " + e.what());
         }
     }
     return cfg;

@@ -39,17 +39,30 @@ namespace cactid::tools {
  *   weight_dynamic / weight_leakage / weight_cycle /
  *   weight_interleave / weight_acctime / weight_area
  *   io_bits, burst_length, prefetch_width, page_bytes  (main memory)
- *   jobs              solver worker threads (0 = hardware concurrency)
+ *   jobs              solver worker threads (>= 0; 0 = hardware concurrency)
  *   collect_all       true | false (keep SolveResult::all)
  *
  * The engine keys (jobs, collect_all) land in @p opts when given; with
  * opts == nullptr they are parsed and discarded, so a config written
  * for the parallel engine still loads everywhere.
  *
- * @throws std::invalid_argument on unknown keys or malformed values.
+ * @throws std::invalid_argument on unknown keys or malformed values,
+ *         naming the line.
  */
 MemoryConfig parseConfig(std::istream &in,
                          SolverOptions *opts = nullptr);
+
+/**
+ * Apply one `key = value` setting, the unit config-file lines and
+ * cactid-serve request members are both made of: @p key is lower-cased
+ * and @p value trimmed, then parsed as parseConfig lists them (engine
+ * keys land in @p opts).
+ *
+ * @throws std::invalid_argument naming the key on an unknown key or a
+ *         malformed value.
+ */
+void applyConfigKey(MemoryConfig &cfg, SolverOptions &opts,
+                    const std::string &key, const std::string &value);
 
 /** Parse a capacity string with optional K/M/G suffix ("24M"). */
 double parseCapacity(const std::string &text);

@@ -7,7 +7,6 @@
 #include "tools/serve.hh"
 
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/fingerprint.hh"
@@ -20,34 +19,6 @@
 namespace cactid::tools {
 
 namespace {
-
-/** The request's "config" object as config-parser `key = value` text. */
-bool
-renderConfigLines(const JsonValue &config, std::string &out,
-                  std::string &err)
-{
-    for (const auto &[key, value] : config.object) {
-        out += key;
-        out += " = ";
-        switch (value.kind) {
-        case JsonValue::Kind::String:
-            out += value.str;
-            break;
-        case JsonValue::Kind::Number:
-            out += value.number;
-            break;
-        case JsonValue::Kind::Bool:
-            out += value.boolean ? "true" : "false";
-            break;
-        default:
-            err = "config value for \"" + key +
-                  "\" must be a string, number or boolean";
-            return false;
-        }
-        out += '\n';
-    }
-    return true;
-}
 
 std::string
 renderOkResponse(const ServeRequest &req, const SolveResult &res)
@@ -141,14 +112,23 @@ parseServeRequest(const std::string &line, std::size_t index)
         req.error = "request needs a \"config\" object";
         return req;
     }
-    std::string text;
-    if (!renderConfigLines(*config, text, req.error))
-        return req;
+    // Engine keys (jobs, collect_all) parse but are discarded:
+    // execution policy belongs to the server, not the request.
+    SolverOptions discard;
     try {
-        std::istringstream ss(text);
-        // Engine keys (jobs, collect_all) parse but are discarded:
-        // execution policy belongs to the server, not the request.
-        req.cfg = parseConfig(ss);
+        for (const auto &[key, value] : config->object) {
+            if (value.kind == JsonValue::Kind::String)
+                applyConfigKey(req.cfg, discard, key, value.str);
+            else if (value.kind == JsonValue::Kind::Number)
+                applyConfigKey(req.cfg, discard, key, value.number);
+            else if (value.kind == JsonValue::Kind::Bool)
+                applyConfigKey(req.cfg, discard, key,
+                               value.boolean ? "true" : "false");
+            else
+                throw std::invalid_argument(
+                    "config value for \"" + key +
+                    "\" must be a string, number or boolean");
+        }
         req.ok = true;
     } catch (const std::exception &e) {
         req.error = e.what();

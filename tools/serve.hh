@@ -9,10 +9,12 @@
  *    "associativity": 12, "technology": "lp-dram", ...}}
  *
  * The "config" object holds exactly the `key = value` vocabulary of
- * the cactid config-file parser (tools/config_parser.hh) — string,
- * number and boolean values are accepted; engine keys (jobs,
- * collect_all) are ignored so a request cannot change how the server
- * executes.  "id" is optional and echoed back verbatim.
+ * the cactid config-file parser (tools/config_parser.hh).  Each
+ * member goes through applyConfigKey as one key and one value (a
+ * string, number or boolean), never spliced into config text, so a
+ * newline or `#` inside a member is just a bad value.  Engine keys
+ * (jobs, collect_all) are ignored so a request cannot change how the
+ * server executes.  "id" is optional and echoed back verbatim.
  *
  * One response per request, in request order, rendered with the
  * locale-proof fmtDouble so equal solves always produce equal bytes:

@@ -22,6 +22,7 @@
 #include "sim/study.hh"
 #include "sim/workload/trace_file.hh"
 #include "tools/cli.hh"
+#include "util/parse.hh"
 
 namespace {
 
