@@ -77,24 +77,6 @@ BM_SolveSramCache(benchmark::State &state)
 BENCHMARK(BM_SolveSramCache)->Unit(benchmark::kMillisecond);
 
 void
-BM_SolveSramCacheJobs(benchmark::State &state)
-{
-    const cactid::MemoryConfig c = baseConfig();
-    const cactid::SolverOptions opts{
-        static_cast<int>(state.range(0)), false};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cactid::solve(c, opts).best.accessTime);
-    }
-}
-BENCHMARK(BM_SolveSramCacheJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_SolveDramChip(benchmark::State &state)
 {
     cactid::MemoryConfig c;

@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "core/cacti.hh"
 
@@ -15,10 +16,10 @@ main()
 {
     using namespace cactid;
 
-    // A sweep only needs the winners: run the engine in streaming mode
-    // (no materialized solution space) on all available cores.
+    // A sweep only needs the winners: solve it as one batch in
+    // streaming mode (no materialized solution space), one config per
+    // core at a time.
     const SolverEngine engine(SolverOptions{0, false});
-    EngineStats totals;
 
     std::printf("LLC design space at 32 nm (8 banks, 64B lines, "
                 "sequential access)\n");
@@ -35,6 +36,7 @@ main()
         {RamCellTech::CommDram, 8},
     };
 
+    std::vector<MemoryConfig> cfgs;
     for (const auto &[tech, assoc] : techs) {
         for (double mb : {8.0, 32.0, 128.0}) {
             MemoryConfig cfg;
@@ -49,18 +51,24 @@ main()
             cfg.tagCellTech = tech;
             cfg.sleepTransistors = tech == RamCellTech::Sram;
             cfg.maxAccTimeConstraint = 0.5;
-
-            EngineStats st;
-            const Solution s = engine.run(cfg, &st).best;
-            totals.partitionsEnumerated += st.partitionsEnumerated;
-            totals.solutionsBuilt += st.solutionsBuilt;
-            totals.totalSeconds += st.totalSeconds;
-            std::printf("%-10s %6.0fMB %9.3f %9.3f %10.2f %9.3f %9.3f\n",
-                        toString(tech).c_str(), mb, s.accessTime * 1e9,
-                        s.interleaveCycle * 1e9, s.totalArea * 1e6,
-                        s.readEnergy * 1e9,
-                        s.leakage + s.refreshPower);
+            cfgs.push_back(cfg);
         }
+    }
+
+    EngineStats totals;
+    const std::vector<SolveResult> results = engine.solveBatch(cfgs);
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const EngineStats &st = results[i].stats;
+        const Solution &s = results[i].best;
+        totals.partitionsEnumerated += st.partitionsEnumerated;
+        totals.solutionsBuilt += st.solutionsBuilt;
+        totals.totalSeconds += st.totalSeconds;
+        std::printf("%-10s %6.0fMB %9.3f %9.3f %10.2f %9.3f %9.3f\n",
+                    toString(cfgs[i].dataCellTech).c_str(),
+                    cfgs[i].capacityBytes / (1024 * 1024),
+                    s.accessTime * 1e9, s.interleaveCycle * 1e9,
+                    s.totalArea * 1e6, s.readEnergy * 1e9,
+                    s.leakage + s.refreshPower);
     }
 
     std::printf("\n(engine: %llu partitions enumerated, %llu solutions "

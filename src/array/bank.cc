@@ -31,15 +31,33 @@ fo4Delay(const Technology &t, DeviceKind dev)
 
 } // namespace
 
+BankBuilder::BankBuilder(const Technology &t, const BankSpec &spec)
+    : t_(t), spec_(spec), mats_(t, spec.tech, spec.ports),
+      htreeWire_(t.wire(WirePlane::SemiGlobal),
+                 t.device(t.cell(spec.tech).peripheralDevice),
+                 spec.repeaterDerate)
+{
+}
+
 BankMetrics
 buildBank(const Technology &t, const BankSpec &spec, const Partition &part)
 {
+    return BankBuilder(t, spec).build(part);
+}
+
+BankMetrics
+BankBuilder::build(const Partition &part)
+{
+    const Technology &t = t_;
+    const BankSpec &spec = spec_;
     BankMetrics m;
     m.part = part;
 
     const CellParams &cell = t.cell(spec.tech);
     const DeviceKind periph = cell.peripheralDevice;
-    const Mat mat(t, spec.tech, part, spec.ports);
+    const Mat mat(t, part,
+                  mats_.parts(part.rowsPerSubarray, part.colsPerSubarray),
+                  spec.ports);
 
     const double subarray_bits =
         double(part.rowsPerSubarray) * part.colsPerSubarray;
@@ -86,8 +104,8 @@ buildBank(const Technology &t, const BankSpec &spec, const Partition &part)
         static_cast<int>(
             std::ceil(std::log2(spec.sizeBits / spec.outputBits))) +
         4 /* control */;
-    const HTree htree(t, periph, m.width, m.height, addr_bits,
-                      spec.outputBits, spec.repeaterDerate);
+    const HTree htree(htreeWire_, m.width, m.height, addr_bits,
+                      spec.outputBits);
 
     // --- Timing (SRAM-like interface).
     m.accessTime =

@@ -14,6 +14,7 @@
 #include "array/mat.hh"
 #include "array/partition.hh"
 #include "tech/technology.hh"
+#include "tech/wire.hh"
 
 namespace cactid {
 
@@ -71,6 +72,35 @@ struct BankMetrics {
     double refreshPower = 0.0; ///< W
 
     bool feasible = false;
+
+    /** Field for field, == on every double. */
+    bool operator==(const BankMetrics &) const = default;
+};
+
+/**
+ * Builds the banks of one spec, one candidate partition at a time.
+ * The parts no candidate changes are made once: the H-tree's repeated
+ * wire and the mat output driver at construction, and the mat row
+ * path and DRAM column decoder on first use (MatCircuits).  Every
+ * bank, one-shot or not, is built here, so a memoized part is the
+ * very value a fresh build computes.  Not thread-safe: one builder
+ * per solve.
+ */
+class BankBuilder
+{
+  public:
+    BankBuilder(const Technology &t, const BankSpec &spec);
+
+    /** Build and evaluate the bank of @p part. */
+    BankMetrics build(const Partition &part);
+
+    const BankSpec &spec() const { return spec_; }
+
+  private:
+    const Technology &t_;
+    BankSpec spec_;
+    MatCircuits mats_;
+    RepeatedWire htreeWire_;
 };
 
 /** Build and evaluate one bank for one candidate partition. */

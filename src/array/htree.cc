@@ -22,10 +22,15 @@ constexpr double kBroadcastSurcharge = 2.0;
 
 HTree::HTree(const Technology &t, DeviceKind dev, double bank_w,
              double bank_h, int addr_bits, int data_bits, double derate)
+    : HTree(RepeatedWire(t.wire(WirePlane::SemiGlobal), t.device(dev),
+                         derate),
+            bank_w, bank_h, addr_bits, data_bits)
 {
-    const WireParams &wire = t.wire(WirePlane::SemiGlobal);
-    const RepeatedWire rep(wire, t.device(dev), derate);
+}
 
+HTree::HTree(const RepeatedWire &rep, double bank_w, double bank_h,
+             int addr_bits, int data_bits)
+{
     routeLength_ = (bank_w + bank_h) / 2.0;
     addrDelay_ = rep.delayPerM() * routeLength_;
     dataDelay_ = rep.delayPerM() * routeLength_;

@@ -30,6 +30,13 @@ class HTree
           double bank_h, int addr_bits, int data_bits,
           double derate = 1.0);
 
+    /**
+     * Route over @p rep, the semi-global repeated wire the constructor
+     * above would size (a BankBuilder sizes it once per spec).
+     */
+    HTree(const RepeatedWire &rep, double bank_w, double bank_h,
+          int addr_bits, int data_bits);
+
     /** Address propagation delay from the bank port to a mat (s). */
     double addrDelay() const { return addrDelay_; }
 

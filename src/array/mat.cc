@@ -7,27 +7,99 @@
 
 #include <cmath>
 
-#include "circuit/driver.hh"
 #include "circuit/gate_area.hh"
 #include "circuit/logic_gate.hh"
 
 namespace cactid {
 
+namespace {
+
+/** Width of the column pass gates and select devices (m). */
+double
+passWidth(const Technology &t)
+{
+    return 2.0 * t.minWidth();
+}
+
+/** Predecode + row decode + wordline driver of @p sub. */
+Decoder
+rowDecoder(const Technology &t, const CellParams &cell, const Subarray &sub)
+{
+    return Decoder(t, cell.peripheralDevice, sub.rows(), sub.cWordline(),
+                   sub.rWordline(), cell.height, cell.vpp);
+}
+
+/**
+ * DRAM pages are wide: the column address is decoded and the selected
+ * CSL driven across the whole matrix width, a significant part of the
+ * CAS latency.
+ */
+Decoder
+columnDecoder(const Technology &t, const CellParams &cell,
+              const Subarray &sub)
+{
+    const DeviceParams &pd = t.device(cell.peripheralDevice);
+    const WireParams &lwire = t.wire(WirePlane::Local);
+    const double csl_len = sub.matrixWidth();
+    const int n_csl = std::max(4, sub.cols() / 16);
+    return Decoder(t, cell.peripheralDevice, n_csl,
+                   lwire.capPerM * csl_len + 16.0 * pd.cGate * passWidth(t),
+                   lwire.resPerM * csl_len, 16.0 * cell.width);
+}
+
+} // namespace
+
+MatCircuits::MatCircuits(const Technology &t, RamCellTech tech, int ports)
+    : t_(t),
+      cell_(applyPorts(t.cell(tech), t.wire(WirePlane::Local).pitch, ports)),
+      outputDriver_(sizeDriverChain(
+          t, cell_.peripheralDevice,
+          40.0 * t.device(cell_.peripheralDevice).cGate * t.minWidth(), 0.0,
+          0.0, Edge{}))
+{
+}
+
+MatParts
+MatCircuits::parts(int rows, int cols)
+{
+    const std::uint64_t key =
+        std::uint64_t(std::uint32_t(rows)) << 32 | std::uint32_t(cols);
+    auto row = rowPaths_.find(key);
+    if (row == rowPaths_.end()) {
+        const Subarray sub(t_, cell_, rows, cols);
+        row = rowPaths_.emplace(key, RowPath{sub, rowDecoder(t_, cell_, sub)})
+                  .first;
+    }
+    const Decoder *col = nullptr;
+    if (isDram(cell_.tech)) {
+        auto it = columnDecoders_.find(cols);
+        if (it == columnDecoders_.end())
+            it = columnDecoders_
+                     .emplace(cols, columnDecoder(t_, cell_,
+                                                  row->second.subarray))
+                     .first;
+        col = &it->second;
+    }
+    return {cell_, row->second.subarray, row->second.decoder, outputDriver_,
+            col};
+}
+
 Mat::Mat(const Technology &t, RamCellTech tech, const Partition &part,
          int ports)
-    : part_(part),
-      subarray_(t,
-                applyPorts(t.cell(tech),
-                           t.wire(WirePlane::Local).pitch, ports),
-                part.rowsPerSubarray, part.colsPerSubarray),
-      bitline_(makeBitline(t,
-                           applyPorts(t.cell(tech),
-                                      t.wire(WirePlane::Local).pitch,
-                                      ports),
-                           part.rowsPerSubarray))
+    : Mat(t, part,
+          MatCircuits(t, tech, ports)
+              .parts(part.rowsPerSubarray, part.colsPerSubarray),
+          ports)
 {
-    const CellParams cell = applyPorts(
-        t.cell(tech), t.wire(WirePlane::Local).pitch, ports);
+}
+
+Mat::Mat(const Technology &t, const Partition &part, const MatParts &parts,
+         int ports)
+    : part_(part), subarray_(parts.subarray),
+      bitline_(makeBitline(t, parts.cell, part.rowsPerSubarray))
+{
+    const CellParams &cell = parts.cell;
+    const RamCellTech tech = cell.tech;
     const DeviceKind periph = cell.peripheralDevice;
     const DeviceParams &pd = t.device(periph);
     const int rows = part.rowsPerSubarray;
@@ -39,8 +111,7 @@ Mat::Mat(const Technology &t, RamCellTech tech, const Partition &part,
     const SenseAmp sa(t, periph, cell.width * part.blMux);
 
     // --- Row path: predecode + row decode + wordline.
-    const Decoder decoder(t, periph, rows, subarray_.cWordline(),
-                          subarray_.rWordline(), cell.height, cell.vpp);
+    const Decoder &decoder = parts.rowDecoder;
     decodeDelay_ = decoder.delay(Edge{}).delay;
 
     // --- Sensing.
@@ -48,26 +119,17 @@ Mat::Mat(const Technology &t, RamCellTech tech, const Partition &part,
 
     // --- Column path: pass-gate mux after the sense amps followed by an
     // output driver onto the H-tree stub at the mat edge.
-    const double w_pass = 2.0 * t.minWidth();
+    const double w_pass = passWidth(t);
     const double r_pass = pd.rNchOn() / w_pass;
     const double c_mux_line =
         part.samMux * pd.cJunction * w_pass + 4e-15;
-    const DriverChain out_drv = sizeDriverChain(
-        t, periph, 40.0 * pd.cGate * t.minWidth(), 0.0, 0.0, Edge{});
+    const DriverChain &out_drv = parts.outputDriver;
     Edge e = stageDelay(Edge{}, r_pass * (c_mux_line + out_drv.inputCap));
     outputDelay_ = e.delay + (out_drv.out.delay);
-    // Column-select path.  DRAM pages are wide: the column address is
-    // decoded and the selected CSL driven across the whole matrix
-    // width, a significant part of the CAS latency.  SRAM column
-    // selection is a single gate overlapped with the row path.
+    // Column-select path: the DRAM column decoder, or for SRAM a
+    // single gate overlapped with the row path.
     if (isDram(tech)) {
-        const WireParams &lwire = t.wire(WirePlane::Local);
-        const double csl_len = subarray_.matrixWidth();
-        const int n_csl = std::max(4, cols / 16);
-        const Decoder col_dec(t, periph, n_csl,
-                              lwire.capPerM * csl_len +
-                                  16.0 * pd.cGate * w_pass,
-                              lwire.resPerM * csl_len, 16.0 * cell.width);
+        const Decoder &col_dec = *parts.columnDecoder;
         outputDelay_ += col_dec.delay(Edge{}).delay;
         colDecodeEnergy_ = col_dec.energyPerAccess();
         colDecodeLeakage_ = col_dec.leakage();

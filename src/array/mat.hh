@@ -9,16 +9,60 @@
 #ifndef CACTID_ARRAY_MAT_HH
 #define CACTID_ARRAY_MAT_HH
 
-#include <memory>
+#include <cstdint>
+#include <unordered_map>
 
 #include "array/partition.hh"
 #include "array/subarray.hh"
 #include "circuit/bitline.hh"
 #include "circuit/decoder.hh"
+#include "circuit/driver.hh"
 #include "circuit/senseamp.hh"
 #include "tech/technology.hh"
 
 namespace cactid {
+
+/**
+ * The circuits of a mat that depend on less than its whole partition.
+ * A MatCircuits memo makes each once per spec and lends it to every
+ * candidate that needs it.
+ */
+struct MatParts {
+    const CellParams &cell;          ///< the port-adjusted cell
+    const Subarray &subarray;        ///< rows x cols cell matrix
+    const Decoder &rowDecoder;       ///< drives the subarray's wordlines
+    const DriverChain &outputDriver; ///< ends every column path
+    const Decoder *columnDecoder;    ///< DRAM CSL decoder, else nullptr
+};
+
+/**
+ * The mat circuits of one (technology, cell, ports) spec, each built
+ * on first use and kept for the memo's lifetime: the subarray and row
+ * decoder per exact rows x cols (tag arrays have columns that are not
+ * powers of two), the DRAM column decoder per cols, and the output
+ * driver once.  parts() returns views that stay valid while the memo
+ * lives.  Not thread-safe: give each thread its own.
+ */
+class MatCircuits
+{
+  public:
+    MatCircuits(const Technology &t, RamCellTech tech, int ports);
+
+    /** The circuits of a rows x cols mat. */
+    MatParts parts(int rows, int cols);
+
+  private:
+    struct RowPath {
+        Subarray subarray;
+        Decoder decoder;
+    };
+
+    const Technology &t_;
+    CellParams cell_;
+    DriverChain outputDriver_;
+    std::unordered_map<std::uint64_t, RowPath> rowPaths_;
+    std::unordered_map<int, Decoder> columnDecoders_;
+};
 
 /** Area, delay and energy model of one mat. */
 class Mat
@@ -33,6 +77,13 @@ class Mat
      */
     Mat(const Technology &t, RamCellTech tech, const Partition &part,
         int ports = 1);
+
+    /**
+     * Build from circuits made elsewhere (a MatCircuits memo of the
+     * same technology, cell and @p ports).
+     */
+    Mat(const Technology &t, const Partition &part, const MatParts &parts,
+        int ports);
 
     // --- Geometry -------------------------------------------------
     double width() const { return width_; }

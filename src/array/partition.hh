@@ -35,6 +35,8 @@ struct Partition {
     {
         return colsPerSubarray / (blMux * samMux);
     }
+
+    bool operator==(const Partition &) const = default;
 };
 
 /** Limits for the partition enumeration. */

@@ -37,25 +37,26 @@ tagBitsPerEntry(const MemoryConfig &cfg)
            kStatusBits;
 }
 
-TagPath
-solveTagPath(const Technology &t, const MemoryConfig &cfg)
+BankSpec
+tagBankSpec(const MemoryConfig &cfg)
 {
-    if (cfg.type != MemoryType::Cache)
-        throw std::logic_error("tag path requested for a tagless memory");
-
-    TagPath best;
-    best.tagBits = tagBitsPerEntry(cfg);
-    const double sets_per_bank = numSets(cfg) / cfg.nBanks;
-    const double entry_bits = double(best.tagBits) * cfg.associativity;
-
+    const double entry_bits =
+        double(tagBitsPerEntry(cfg)) * cfg.associativity;
     BankSpec spec;
     spec.tech = cfg.tagCellTech;
-    spec.sizeBits = sets_per_bank * entry_bits;
+    spec.sizeBits = numSets(cfg) / cfg.nBanks * entry_bits;
     spec.outputBits = static_cast<int>(entry_bits);
     spec.repeaterDerate = 1.0; // tags stay latency optimal
     spec.sleepTransistors = cfg.sleepTransistors;
+    return spec;
+}
 
-    double best_time = std::numeric_limits<double>::infinity();
+void
+forEachTagPartition(const MemoryConfig &cfg, const PartitionVisitor &visit)
+{
+    const double sets_per_bank = numSets(cfg) / cfg.nBanks;
+    const double entry_bits =
+        double(tagBitsPerEntry(cfg)) * cfg.associativity;
     // Tag-specific enumeration: cols = (sets-per-row) * entry bits so a
     // whole set's tags arrive in one access.
     for (int rows = 16; rows <= 8192; rows *= 2) {
@@ -73,15 +74,28 @@ solveTagPath(const Technology &t, const MemoryConfig &cfg)
             p.colsPerSubarray = static_cast<int>(entry_bits) * spr;
             p.blMux = 1;
             p.samMux = spr;
-            const BankMetrics m = buildBank(t, spec, p);
-            if (!m.feasible)
-                continue;
-            if (m.accessTime < best_time) {
-                best_time = m.accessTime;
-                best.bank = m;
-            }
+            visit(p);
         }
     }
+}
+
+TagPath
+solveTagPath(const Technology &t, const MemoryConfig &cfg)
+{
+    if (cfg.type != MemoryType::Cache)
+        throw std::logic_error("tag path requested for a tagless memory");
+
+    TagPath best;
+    best.tagBits = tagBitsPerEntry(cfg);
+    BankBuilder banks(t, tagBankSpec(cfg));
+    double best_time = std::numeric_limits<double>::infinity();
+    forEachTagPartition(cfg, [&](const Partition &p) {
+        const BankMetrics m = banks.build(p);
+        if (m.feasible && m.accessTime < best_time) {
+            best_time = m.accessTime;
+            best.bank = m;
+        }
+    });
     if (!best.bank.feasible)
         throw InfeasibleConfig("no feasible tag organization for " +
                                cfg.summary());

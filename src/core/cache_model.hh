@@ -35,6 +35,17 @@ struct TagPath {
 /** Tag bits per entry for @p cfg (address minus index/offset + status). */
 int tagBitsPerEntry(const MemoryConfig &cfg);
 
+/** The tag array's bank spec for the cache @p cfg. */
+BankSpec tagBankSpec(const MemoryConfig &cfg);
+
+/**
+ * Visit the tag array's candidate partitions in a fixed order: each
+ * row holds whole sets, so cols = (sets per row) x entry bits, which
+ * need not be a power of two.
+ */
+void forEachTagPartition(const MemoryConfig &cfg,
+                         const PartitionVisitor &visit);
+
 /**
  * Solve the tag array of @p cfg: enumerates tag organizations and picks
  * the fastest one (tags are latency critical in every access mode).

@@ -16,8 +16,18 @@ constexpr double kChipOverhead = 1.12;
 
 } // namespace
 
+RepeatedWire
+chipGlobalWire(const Technology &t, const MemoryConfig &cfg)
+{
+    const CellParams &cell = t.cell(cfg.dataCellTech);
+    return RepeatedWire(t.wire(WirePlane::Global),
+                        t.device(cell.peripheralDevice),
+                        cfg.repeaterDerate);
+}
+
 void
-addChipLevel(const Technology &t, const MemoryConfig &cfg, Solution &s)
+addChipLevel(const MemoryConfig &cfg, const RepeatedWire &global,
+             Solution &s)
 {
     // --- Area: banks plus chip periphery.
     s.totalArea = cfg.nBanks * s.bankArea * kChipOverhead;
@@ -29,10 +39,6 @@ addChipLevel(const Technology &t, const MemoryConfig &cfg, Solution &s)
     const double chip_h = s.totalArea / chip_w;
     const double route = (chip_w + chip_h) / 4.0;
 
-    const CellParams &cell = t.cell(cfg.dataCellTech);
-    const RepeatedWire global(t.wire(WirePlane::Global),
-                              t.device(cell.peripheralDevice),
-                              cfg.repeaterDerate);
     const double route_delay = global.delayPerM() * route;
 
     s.tRcd += route_delay;

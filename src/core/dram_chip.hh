@@ -11,16 +11,25 @@
 #include "core/config.hh"
 #include "core/result.hh"
 #include "tech/technology.hh"
+#include "tech/wire.hh"
 
 namespace cactid {
 
 /**
- * Augment a per-bank solution with chip-level effects: global
- * address/data routing across the die, pad-ring area overhead, READ and
- * WRITE burst energies for the configured burst length, and whole-chip
- * refresh power.
+ * The repeated global wire that routes a chip's address and data from
+ * the center spine to its banks.  It depends on the config alone, so a
+ * solve sizes it once for all of its candidates.
  */
-void addChipLevel(const Technology &t, const MemoryConfig &cfg,
+RepeatedWire chipGlobalWire(const Technology &t, const MemoryConfig &cfg);
+
+/**
+ * Augment a per-bank solution with chip-level effects: global
+ * address/data routing across the die over @p global
+ * (chipGlobalWire), pad-ring area overhead, READ and WRITE burst
+ * energies for the configured burst length, and whole-chip refresh
+ * power.
+ */
+void addChipLevel(const MemoryConfig &cfg, const RepeatedWire &global,
                   Solution &s);
 
 } // namespace cactid

@@ -8,12 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -43,14 +41,21 @@ secondsSince(Clock::time_point start)
  * survivor set, in the same order, as filtering the fully materialized
  * space: a solution evicted against the running best area can never
  * pass the final area filter, whose threshold only shrinks.
+ *
+ * The live set is a list of (area, slot) pairs in enumeration order
+ * over a store of solutions whose freed slots are reused, so a new
+ * best area compacts 16-byte pairs instead of moving solutions.
  */
 class StreamingFold {
 public:
     StreamingFold(const MemoryConfig &cfg, bool collect_all,
-                  EngineStats &st, SolveResult &res)
+                  std::size_t candidates, EngineStats &st, SolveResult &res)
         : slack_(1.0 + cfg.maxAreaConstraint), collectAll_(collect_all),
           st_(st), res_(res)
     {
+        // Every candidate fits, so the store never moves a solution to
+        // grow; pages no solution reaches are never touched.
+        store_.reserve(candidates);
     }
 
     void
@@ -59,30 +64,65 @@ public:
         ++st_.solutionsBuilt;
         if (collectAll_)
             res_.all.push_back(s);
-        if (s.totalArea < bestArea_) {
-            bestArea_ = s.totalArea;
+        const double area = s.totalArea;
+        if (area < bestArea_) {
+            bestArea_ = area;
             const double limit = bestArea_ * slack_;
-            st_.areaPruned +=
-                std::erase_if(live_, [limit](const Solution &q) {
-                    return !(q.totalArea <= limit);
-                });
+            std::size_t kept = 0;
+            for (const Live &q : live_) {
+                if (q.area <= limit)
+                    live_[kept++] = q;
+                else
+                    free_.push_back(q.slot);
+            }
+            st_.areaPruned += live_.size() - kept;
+            live_.resize(kept);
         }
-        if (s.totalArea <= bestArea_ * slack_)
-            live_.push_back(std::move(s));
+        if (area <= bestArea_ * slack_)
+            live_.push_back({area, store(std::move(s))});
         else
             ++st_.areaPruned;
         st_.peakLiveSolutions =
             std::max(st_.peakLiveSolutions, live_.size());
     }
 
-    std::vector<Solution> take() { return std::move(live_); }
+    /** The survivors, in enumeration order. */
+    std::vector<Solution>
+    take()
+    {
+        std::vector<Solution> out;
+        out.reserve(live_.size());
+        for (const Live &q : live_)
+            out.push_back(std::move(store_[q.slot]));
+        return out;
+    }
 
 private:
+    struct Live {
+        double area;
+        std::size_t slot; ///< index into store_
+    };
+
+    std::size_t
+    store(Solution &&s)
+    {
+        if (free_.empty()) {
+            store_.push_back(std::move(s));
+            return store_.size() - 1;
+        }
+        const std::size_t slot = free_.back();
+        free_.pop_back();
+        store_[slot] = std::move(s);
+        return slot;
+    }
+
     const double slack_;
     const bool collectAll_;
     EngineStats &st_;
     SolveResult &res_;
-    std::vector<Solution> live_;
+    std::vector<Live> live_;
+    std::vector<Solution> store_;
+    std::vector<std::size_t> free_;
     double bestArea_ = std::numeric_limits<double>::infinity();
 };
 
@@ -104,11 +144,9 @@ SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
     EngineStats &st = res.stats;
     st.jobsUsed = resolveJobs(opts_.jobs);
 
-    // --- Stage 1: setup + candidate enumeration (streamed, but the
-    // Partition index is tiny and must exist before the fan-out so the
-    // merge has a deterministic order to follow).
+    // --- Stage 1: validate, solve the tag path, enumerate candidates.
     const auto t_setup = Clock::now();
-    const CandidateEvaluator eval(t, cfg);
+    CandidateEvaluator eval(t, cfg);
     std::vector<Partition> candidates;
     {
         OBS_PROFILE_SCOPE("solver.enumerate");
@@ -121,15 +159,11 @@ SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
     st.partitionsEnumerated = candidates.size();
     st.setupSeconds = secondsSince(t_setup);
 
-    // --- Stage 2+3: evaluate candidates (possibly in parallel) and
-    // fold the results in enumeration order.
+    // --- Stages 2+3: evaluate the candidates in enumeration order and
+    // fold each result into the live set.
     const auto t_eval = Clock::now();
-    StreamingFold fold(cfg, opts_.collectAll, st, res);
-
-    const int jobs = static_cast<int>(
-        std::min(static_cast<std::size_t>(st.jobsUsed),
-                 std::max<std::size_t>(candidates.size(), 1)));
-    if (jobs <= 1) {
+    StreamingFold fold(cfg, opts_.collectAll, candidates.size(), st, res);
+    {
         OBS_PROFILE_SCOPE("solver.evaluate");
         for (const Partition &p : candidates) {
             if (auto s = eval(p))
@@ -137,50 +171,6 @@ SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
             else
                 ++st.partitionsInfeasible;
         }
-    } else {
-        OBS_PROFILE_SCOPE("solver.evaluate");
-        const std::size_t n = candidates.size();
-        std::vector<std::optional<Solution>> slots(n);
-        std::vector<char> done(n, 0);
-        std::mutex mtx;
-        std::condition_variable cv;
-        std::atomic<std::size_t> next{0};
-
-        auto worker = [&] {
-            OBS_PROFILE_SCOPE("solver.worker");
-            for (std::size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1)) {
-                std::optional<Solution> s = eval(candidates[i]);
-                {
-                    const std::lock_guard<std::mutex> lock(mtx);
-                    slots[i] = std::move(s);
-                    done[i] = 1;
-                }
-                cv.notify_one();
-            }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (int w = 0; w < jobs; ++w)
-            pool.emplace_back(worker);
-
-        // The merge consumes slot i only once evaluated, in index
-        // order; workers run ahead while earlier slots are folded.
-        for (std::size_t i = 0; i < n; ++i) {
-            std::optional<Solution> s;
-            {
-                std::unique_lock<std::mutex> lock(mtx);
-                cv.wait(lock, [&] { return done[i] != 0; });
-                s = std::move(slots[i]);
-                slots[i].reset();
-            }
-            if (s)
-                fold(std::move(*s));
-            else
-                ++st.partitionsInfeasible;
-        }
-        for (std::thread &th : pool)
-            th.join();
     }
     st.evaluateSeconds = secondsSince(t_eval);
 
@@ -247,7 +237,8 @@ SolverEngine::run(const MemoryConfig &cfg, EngineStats *stats) const
 
 std::vector<SolveResult>
 SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
-                         BatchStats *batch_stats) const
+                         BatchStats *batch_stats,
+                         std::vector<std::exception_ptr> *errors) const
 {
     OBS_PROFILE_SCOPE("solver.batch");
     BatchStats bs;
@@ -262,7 +253,8 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
         ConfigFingerprint fp;
         std::vector<std::size_t> requests; ///< indices into cfgs
         SolveResult res;
-        bool solved = false;
+        bool solved = false; ///< by a pipeline of this batch
+        std::exception_ptr error;
     };
     std::vector<Unique> uniq;
     std::unordered_map<std::string, std::size_t> byKey;
@@ -285,7 +277,8 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
 
     // --- Collapse 2: cache, then group the misses by share key.
     // Members of a group differ only in objective weights, so stages
-    // 1-3 and both constraint filters run once per group.
+    // 1-3 and both constraint filters run once per group.  Every
+    // lookup happens here, before any group runs.
     SolveCache *cache = opts_.cache ? opts_.cache : globalSolveCache();
     std::vector<std::vector<std::size_t>> groups;
     std::unordered_map<std::string, std::size_t> byShareKey;
@@ -293,7 +286,6 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
         Unique &u = uniq[ui];
         if (cache && cache->lookup(u.fp, u.key, opts_.collectAll,
                                    u.res)) {
-            u.solved = true;
             ++bs.cacheHits;
             continue;
         }
@@ -308,48 +300,115 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
     }
     bs.shareGroups = groups.size();
 
-    for (const std::vector<std::size_t> &group : groups) {
+    // One group: its members take the steps of run(member) in the
+    // same order (technology, validation, pipeline, objective), so each
+    // failure is the one run(member) throws.  A member that fails
+    // validation (a bad weight) fails alone; any other failure fails
+    // every member not yet solved.  A group writes only its own
+    // members, and lets nothing escape.
+    auto solveGroup = [&](const std::vector<std::size_t> &group) {
         const auto t_total = Clock::now();
-        const MemoryConfig &rep = *uniq[group.front()].cfg;
-        const Technology t(rep.featureNm, rep.temperatureK);
-        SolveResult shared;
-        std::vector<Solution> live = runPipeline(t, rep, shared);
-        for (std::size_t gi = 0; gi < group.size(); ++gi) {
-            Unique &u = uniq[group[gi]];
-            // runPipeline validated only the group's first config; the
-            // others differ from it only in weights, which selectBest
-            // needs finite.
-            u.cfg->validate();
-            const bool last = gi + 1 == group.size();
-            u.res.all = last ? std::move(shared.all) : shared.all;
-            u.res.stats = shared.stats;
-            // selectBest writes the member's objective into the
-            // survivors, so each member ranks its own copy — exactly
-            // what an independent run(cfg) would have produced.
-            std::vector<Solution> member_live =
-                last ? std::move(live) : live;
-            const auto t_objective = Clock::now();
-            u.res.best = selectBest(member_live, u.cfg->weights);
-            u.res.filtered = std::move(member_live);
-            u.res.stats.filterSeconds += secondsSince(t_objective);
-            u.res.stats.totalSeconds = secondsSince(t_total);
-            if (cache)
+        try {
+            const MemoryConfig &first = *uniq[group.front()].cfg;
+            const Technology t(first.featureNm, first.temperatureK);
+            std::vector<std::size_t> valid;
+            for (const std::size_t ui : group) {
+                try {
+                    uniq[ui].cfg->validate();
+                    valid.push_back(ui);
+                } catch (...) {
+                    uniq[ui].error = std::current_exception();
+                }
+            }
+            if (valid.empty())
+                return;
+            SolveResult shared;
+            std::vector<Solution> live =
+                runPipeline(t, *uniq[valid.front()].cfg, shared);
+            for (std::size_t vi = 0; vi < valid.size(); ++vi) {
+                Unique &u = uniq[valid[vi]];
+                const bool last = vi + 1 == valid.size();
+                u.res.all = last ? std::move(shared.all) : shared.all;
+                u.res.stats = shared.stats;
+                // selectBest writes the member's objective into the
+                // survivors, so each member ranks its own copy —
+                // exactly what an independent run(cfg) would have
+                // produced.
+                std::vector<Solution> member_live =
+                    last ? std::move(live) : live;
+                const auto t_objective = Clock::now();
+                u.res.best = selectBest(member_live, u.cfg->weights);
+                u.res.filtered = std::move(member_live);
+                u.res.stats.filterSeconds += secondsSince(t_objective);
+                u.res.stats.totalSeconds = secondsSince(t_total);
+                u.solved = true;
+            }
+        } catch (...) {
+            for (const std::size_t ui : group) {
+                if (!uniq[ui].solved && !uniq[ui].error)
+                    uniq[ui].error = std::current_exception();
+            }
+        }
+    };
+
+    // --- Run the groups: inline when there is one group or one job,
+    // else on up to jobs threads pulling groups off a shared counter.
+    // The calling thread works too, and joins every thread before
+    // anything below reads a result.
+    const std::size_t width = std::min<std::size_t>(
+        static_cast<std::size_t>(resolveJobs(opts_.jobs)), groups.size());
+    if (width <= 1) {
+        for (const std::vector<std::size_t> &group : groups)
+            solveGroup(group);
+    } else {
+        std::atomic<std::size_t> next{0};
+        auto worker = [&] {
+            for (std::size_t g = next++; g < groups.size(); g = next++)
+                solveGroup(groups[g]);
+        };
+        std::vector<std::thread> pool;
+        pool.reserve(width - 1);
+        try {
+            for (std::size_t w = 1; w < width; ++w)
+                pool.emplace_back(worker);
+        } catch (const std::system_error &) {
+            // Fewer threads than asked for: the ones started and this
+            // one still drain every group.
+        }
+        worker();
+        for (std::thread &th : pool)
+            th.join();
+    }
+
+    // --- Memoize, in first-appearance order, what the groups solved.
+    if (cache) {
+        for (const Unique &u : uniq) {
+            if (u.solved)
                 cache->insert(u.fp, u.key, u.res, opts_.collectAll);
-            u.solved = true;
         }
     }
 
     // --- Scatter back to request order.
     std::vector<SolveResult> out(cfgs.size());
+    std::vector<std::exception_ptr> failed(cfgs.size());
     for (Unique &u : uniq) {
         for (std::size_t ri = 0; ri < u.requests.size(); ++ri) {
             const bool last = ri + 1 == u.requests.size();
             out[u.requests[ri]] =
                 last ? std::move(u.res) : u.res;
+            failed[u.requests[ri]] = u.error;
         }
     }
     if (batch_stats)
         *batch_stats = bs;
+    if (errors) {
+        *errors = std::move(failed);
+    } else {
+        for (const std::exception_ptr &e : failed) {
+            if (e)
+                std::rethrow_exception(e);
+        }
+    }
     return out;
 }
 

@@ -1,22 +1,27 @@
 /**
  * @file
- * SolverEngine: the streaming, parallel, instrumented solve pipeline.
+ * SolverEngine: the streaming, instrumented solve pipeline.
  *
- * The engine replaces the old enumerate-everything-then-filter path
- * with a four-stage pipeline:
+ * One solve runs four stages on one thread:
  *
- *   1. partition candidates stream from forEachPartition (no up-front
- *      materialization of the solution space),
- *   2. bank construction + solution combination fan out across a small
- *      worker pool (SolverOptions::jobs),
- *   3. results merge back in enumeration order, with an incremental
- *      max-area prune bounding the live working set,
+ *   1. the config is validated, the tag path solved, and the partition
+ *      candidates enumerated (forEachPartition),
+ *   2. each candidate's bank is built and combined into a solution by
+ *      one CandidateEvaluator, whose BankBuilder makes every bank part
+ *      no candidate changes once per solve,
+ *   3. results fold in enumeration order, with an incremental max-area
+ *      prune bounding the live working set,
  *   4. the composable optimizer passes pick the winner.
  *
- * Determinism guarantee: the merge folds candidate results in
- * enumeration-index order and every per-candidate computation is
- * independent, so a run with jobs=N produces bit-identical
- * SolveResult::best and SolveResult::filtered to a run with jobs=1.
+ * Parallelism is across configs, not candidates: solveBatch runs its
+ * share groups on up to SolverOptions::jobs threads.
+ *
+ * Determinism guarantee: a solve is one serial pass in enumeration
+ * order, and share groups are independent, touch the cache only
+ * before and after they run, and write only their own results.  So
+ * SolveResult::best, ::filtered and ::all, the EngineStats counters
+ * (jobsUsed aside), BatchStats and the cache's counters and LRU order
+ * are the same at every jobs setting.
  *
  * The engine is stateless: one engine may solve many configs, from
  * many threads, concurrently.
@@ -26,6 +31,7 @@
 #define CACTID_CORE_ENGINE_HH
 
 #include <cstddef>
+#include <exception>
 #include <vector>
 
 #include "core/config.hh"
@@ -40,8 +46,9 @@ class SolveCache;
 /** Knobs controlling how a solve executes (not what it computes). */
 struct SolverOptions {
     /**
-     * Worker threads for candidate evaluation; 0 means
-     * std::thread::hardware_concurrency(), 1 runs fully serial.
+     * Threads solveBatch runs share groups on (a single solve is
+     * always serial); 0 means std::thread::hardware_concurrency(), 1
+     * runs fully serial.
      */
     int jobs = 0;
 
@@ -108,15 +115,28 @@ public:
      * that differ only in objective weights share one partition
      * enumeration + evaluation + constraint pipeline (the weights
      * only enter the final objective pass, which runs per request).
-     * Unique solves go through the cache like run(cfg).
+     * Unique solves go through the cache like run(cfg): every lookup
+     * before the first group runs, every insert after the last one
+     * ends, in first-appearance order.
      *
-     * @throws InfeasibleConfig when any request has no feasible
-     *         candidates (batch requests are all-or-nothing; callers
-     *         needing per-request isolation fall back to run()).
+     * The share groups run inline when there is one of them or jobs
+     * is 1, else on up to jobs threads.  A failing member fails with
+     * the error run(member) would throw: a member that fails
+     * validation (a bad weight) fails alone, anything else fails its
+     * whole group.
+     *
+     * @param errors when given, receives one entry per request: null
+     *        for a request that was solved, else its error (its result
+     *        is then default-constructed).  The other requests are
+     *        served as usual.
+     * @throws the error of the first failing request, in request
+     *         order, when @p errors is null.  Every group has run and
+     *         every solved one is cached by then.
      */
     std::vector<SolveResult>
     solveBatch(const std::vector<MemoryConfig> &cfgs,
-               BatchStats *batch_stats = nullptr) const;
+               BatchStats *batch_stats = nullptr,
+               std::vector<std::exception_ptr> *errors = nullptr) const;
 
     const SolverOptions &options() const { return opts_; }
 

@@ -41,7 +41,11 @@ struct EngineStats {
     /** High-water mark of live retained solutions during streaming. */
     std::size_t peakLiveSolutions = 0;
 
-    /** Worker threads actually used for candidate evaluation. */
+    /**
+     * The engine's jobs setting, resolved (0 becomes the core count):
+     * the width solveBatch runs share groups at.  A solve itself is
+     * always one thread.
+     */
     int jobsUsed = 0;
 
     // --- Per-stage wall time (seconds).

@@ -33,32 +33,44 @@ makeBankSpec(const MemoryConfig &cfg)
     return spec;
 }
 
-CandidateEvaluator::CandidateEvaluator(const Technology &t,
-                                       const MemoryConfig &cfg)
-    : t_(t), cfg_(cfg)
+namespace {
+
+/** The config's data-bank spec, once it has passed validation. */
+BankSpec
+validatedBankSpec(const MemoryConfig &cfg)
 {
     cfg.validate();
-    spec_ = makeBankSpec(cfg);
+    return makeBankSpec(cfg);
+}
+
+} // namespace
+
+CandidateEvaluator::CandidateEvaluator(const Technology &t,
+                                       const MemoryConfig &cfg)
+    : t_(t), cfg_(cfg), banks_(t, validatedBankSpec(cfg))
+{
     if (cfg.type == MemoryType::Cache)
         tag_ = solveTagPath(t, cfg);
+    if (cfg.type == MemoryType::MainMemoryChip)
+        chipWire_.emplace(chipGlobalWire(t, cfg));
 }
 
 std::optional<Solution>
-CandidateEvaluator::operator()(const Partition &p) const
+CandidateEvaluator::operator()(const Partition &p)
 {
-    const BankMetrics bank = buildBank(t_, spec_, p);
+    const BankMetrics bank = banks_.build(p);
     if (!bank.feasible)
         return std::nullopt;
     Solution s = combineSolution(t_, cfg_, bank, tag_);
     if (cfg_.type == MemoryType::MainMemoryChip)
-        addChipLevel(t_, cfg_, s);
+        addChipLevel(cfg_, *chipWire_, s);
     return s;
 }
 
 std::vector<Solution>
 enumerateSolutions(const Technology &t, const MemoryConfig &cfg)
 {
-    const CandidateEvaluator eval(t, cfg);
+    CandidateEvaluator eval(t, cfg);
     std::vector<Solution> out;
     forEachPartition(eval.spec().sizeBits, eval.spec().outputBits,
                      eval.spec().tech, PartitionLimits{},

@@ -1,9 +1,9 @@
 /**
  * @file
  * Candidate evaluation: turns one partition of the organization space
- * into a complete Solution for a MemoryConfig.  The SolverEngine fans
- * these evaluations out across worker threads; enumerateSolutions() is
- * the serial collect-everything convenience wrapper.
+ * into a complete Solution for a MemoryConfig.  The SolverEngine runs
+ * one evaluator per solve; enumerateSolutions() is the serial
+ * collect-everything convenience wrapper.
  */
 
 #ifndef CACTID_CORE_SOLVER_HH
@@ -27,9 +27,17 @@ BankSpec makeBankSpec(const MemoryConfig &cfg);
 /**
  * Per-config evaluation kernel: validates the config once, solves the
  * tag path once (caches), and then maps candidate partitions to
- * complete solutions.  operator() is const and touches no shared
- * mutable state, so one evaluator may be called concurrently from many
- * threads.
+ * complete solutions.
+ *
+ * The evaluator owns the solve's BankBuilder, which memoizes the bank
+ * parts no candidate changes (the H-tree wire, the mat output driver,
+ * the row path per rows x cols, the DRAM column decoder per cols), and
+ * sizes a chip's global wire once.
+ * The memo lives and dies with the evaluator and is shared with no
+ * other solve, so it needs no lock; in exchange operator() mutates
+ * it, and one evaluator must not be called from two threads at once.
+ * A memoized part is the value a fresh buildBank() computes, so
+ * results are bit-identical either way.
  */
 class CandidateEvaluator {
 public:
@@ -40,15 +48,16 @@ public:
      * path, and add chip-level effects for main-memory parts.  Returns
      * nullopt when the bank is infeasible.
      */
-    std::optional<Solution> operator()(const Partition &p) const;
+    std::optional<Solution> operator()(const Partition &p);
 
-    const BankSpec &spec() const { return spec_; }
+    const BankSpec &spec() const { return banks_.spec(); }
 
 private:
     const Technology &t_;
     const MemoryConfig &cfg_;
-    BankSpec spec_;
     std::optional<TagPath> tag_;
+    std::optional<RepeatedWire> chipWire_; ///< main-memory chips only
+    BankBuilder banks_;
 };
 
 /**

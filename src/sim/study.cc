@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -85,12 +86,7 @@ Study::Study()
 {
     using namespace cactid;
 
-    // The study only consumes .best, so solve in streaming mode (no
-    // SolveResult::all): identical winners, bounded peak memory, and
-    // much smaller entries when a process-global solve cache is
-    // installed (cactid-study --cache / --cache-dir).
-    SolverOptions stream;
-    stream.collectAll = false;
+    std::vector<MemoryConfig> cfgs;
 
     // --- L1: 32KB 8-way private (per core, SRAM).
     {
@@ -98,7 +94,7 @@ Study::Study()
         c.accessMode = AccessMode::Fast;
         c.sleepTransistors = true;
         c.maxAccTimeConstraint = 0.10;
-        l1_ = quantize("L1", solve(c, stream).best);
+        cfgs.push_back(c);
     }
 
     // --- L2: 1MB 8-way private (per core, SRAM).
@@ -107,7 +103,7 @@ Study::Study()
         c.accessMode = AccessMode::Fast;
         c.sleepTransistors = true;
         c.maxAccTimeConstraint = 0.15;
-        l2_ = quantize("L2", solve(c, stream).best);
+        cfgs.push_back(c);
     }
 
     // --- The five L3 options (8 banks, sequential access, stacked).
@@ -146,10 +142,7 @@ Study::Study()
             c.maxAccTimeConstraint = 2.00;
             c.weights = {1.0, 2.0, 0.5, 0.5, 0.0, 2.0};
         }
-        Projection p = quantize(spec.name, solve(c, stream).best);
-        p.capacityBytes = std::uint64_t(spec.capacity);
-        p.assoc = spec.assoc;
-        l3s_.push_back(p);
+        cfgs.push_back(c);
     }
 
     // --- Main memory: 8Gb DDR4-3200 x8 chips at 32 nm.
@@ -168,8 +161,27 @@ Study::Study()
         c.maxAreaConstraint = 0.10;
         c.maxAccTimeConstraint = 1.00;
         c.weights = {1.0, 0.0, 1.0, 0.0, 0.0, 4.0};
-        mm_ = solve(c, stream).best;
+        cfgs.push_back(c);
     }
+
+    // One batch solves the eight configs side by side, one per core.
+    // The study only consumes .best, so solve in streaming mode (no
+    // SolveResult::all): identical winners, bounded peak memory, and
+    // much smaller entries when a process-global solve cache is
+    // installed (cactid-study --cache / --cache-dir).
+    SolverOptions stream;
+    stream.collectAll = false;
+    const std::vector<SolveResult> solved =
+        SolverEngine(stream).solveBatch(cfgs);
+    l1_ = quantize("L1", solved[0].best);
+    l2_ = quantize("L2", solved[1].best);
+    for (std::size_t i = 0; i < std::size(specs); ++i) {
+        Projection p = quantize(specs[i].name, solved[2 + i].best);
+        p.capacityBytes = std::uint64_t(specs[i].capacity);
+        p.assoc = specs[i].assoc;
+        l3s_.push_back(p);
+    }
+    mm_ = solved.back().best;
 
     // --- L2-L3 crossbar (8x8, one cache line wide), paper section 4.1.
     {

@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the SolverEngine: parallel/serial determinism across all
- * three cell technologies, streaming mode, stats accounting, and
- * equivalence with the legacy enumerate-then-optimize path.
+ * three cell technologies, streaming mode, stats accounting,
+ * equivalence with the legacy enumerate-then-optimize path, and the
+ * per-solve bank memo's equality with fresh bank builds.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
+#include "core/cache_model.hh"
 #include "core/cacti.hh"
 #include "core/engine.hh"
 
@@ -223,6 +228,126 @@ TEST(Engine, NoFeasibleOrganizationThrowsInfeasibleConfig)
         }
     }
     EXPECT_THROW(optimize(tag, {}), InfeasibleConfig);
+}
+
+// --- The per-solve bank memo -----------------------------------------
+
+/**
+ * The memo-equivalence configs: SRAM, LP-DRAM and COMM-DRAM as a
+ * cache (whose tags use the same cell), a RAM and a main-memory chip,
+ * plus a 2-port SRAM and a derated H-tree.  An SRAM chip is no valid
+ * config, but its bank spec still builds.
+ */
+std::vector<MemoryConfig>
+memoConfigs()
+{
+    std::vector<MemoryConfig> out;
+    for (const RamCellTech tech : {RamCellTech::Sram, RamCellTech::LpDram,
+                                   RamCellTech::CommDram}) {
+        MemoryConfig cache;
+        cache.capacityBytes = 1 << 20;
+        cache.blockBytes = 64;
+        cache.associativity = 8;
+        cache.nBanks = 2;
+        cache.type = MemoryType::Cache;
+        cache.featureNm = 45.0;
+        cache.dataCellTech = tech;
+        cache.tagCellTech = tech;
+        out.push_back(cache);
+
+        MemoryConfig ram = cache;
+        ram.type = MemoryType::PlainRam;
+        ram.capacityBytes = 256 << 10;
+        out.push_back(ram);
+
+        MemoryConfig chip = commDramChip();
+        chip.dataCellTech = tech;
+        out.push_back(chip);
+    }
+    MemoryConfig ported = sramCache();
+    ported.capacityBytes = 256 << 10;
+    ported.ports = 2;
+    out.push_back(ported);
+    MemoryConfig derated = sramCache();
+    derated.type = MemoryType::PlainRam;
+    derated.repeaterDerate = 1.5;
+    out.push_back(derated);
+    return out;
+}
+
+/**
+ * Build every partition through one shared builder, whose memo holds
+ * every earlier partition's parts, and compare each bank with a fresh
+ * buildBank field for field.
+ */
+std::size_t
+expectSharedBuilderMatchesFresh(const Technology &t, const BankSpec &spec,
+                                const std::function<void(
+                                    const PartitionVisitor &)> &each)
+{
+    BankBuilder shared(t, spec);
+    std::size_t n = 0;
+    each([&](const Partition &p) {
+        ++n;
+        EXPECT_TRUE(shared.build(p) == buildBank(t, spec, p))
+            << p.rowsPerSubarray << "x" << p.colsPerSubarray << " blmux "
+            << p.blMux << " sammux " << p.samMux;
+    });
+    return n;
+}
+
+TEST(BankMemo, SharedBuilderMatchesFreshBuildsOnEveryPartition)
+{
+    for (const MemoryConfig &cfg : memoConfigs()) {
+        SCOPED_TRACE(cfg.summary() + " ports " + std::to_string(cfg.ports) +
+                     " derate " + std::to_string(cfg.repeaterDerate));
+        const Technology t(cfg.featureNm, cfg.temperatureK);
+        const BankSpec data = makeBankSpec(cfg);
+        EXPECT_GT(expectSharedBuilderMatchesFresh(
+                      t, data,
+                      [&](const PartitionVisitor &visit) {
+                          forEachPartition(data.sizeBits, data.outputBits,
+                                           data.tech, PartitionLimits{},
+                                           visit);
+                      }),
+                  0u);
+        if (cfg.type != MemoryType::Cache)
+            continue;
+        // The tag path's own partitions: columns are whole sets of
+        // entries, so rows x cols pairs are not powers of two.
+        EXPECT_GT(expectSharedBuilderMatchesFresh(
+                      t, tagBankSpec(cfg),
+                      [&](const PartitionVisitor &visit) {
+                          forEachTagPartition(cfg, visit);
+                      }),
+                  0u);
+    }
+}
+
+TEST(BankMemo, EvaluatorBanksMatchFreshBuilds)
+{
+    for (const MemoryConfig &cfg : memoConfigs()) {
+        if (cfg.type == MemoryType::MainMemoryChip &&
+            !isDram(cfg.dataCellTech))
+            continue; // not a valid config
+        SCOPED_TRACE(cfg.summary());
+        const Technology t(cfg.featureNm, cfg.temperatureK);
+        CandidateEvaluator eval(t, cfg);
+        std::size_t feasible = 0;
+        forEachPartition(eval.spec().sizeBits, eval.spec().outputBits,
+                         eval.spec().tech, PartitionLimits{},
+                         [&](const Partition &p) {
+                             const std::optional<Solution> s = eval(p);
+                             const BankMetrics fresh =
+                                 buildBank(t, eval.spec(), p);
+                             ASSERT_EQ(s.has_value(), fresh.feasible);
+                             if (s) {
+                                 ++feasible;
+                                 EXPECT_TRUE(s->data == fresh);
+                             }
+                         });
+        EXPECT_GT(feasible, 0u);
+    }
 }
 
 } // namespace

@@ -205,6 +205,78 @@ TEST(Serve, ShardUnionEqualsUnshardedRun)
     EXPECT_EQ(total.ok, 6u);
 }
 
+TEST(Serve, InfeasibleRequestKeepsShardCountersMergeable)
+{
+    // Duplicates in-shard for a 2-way round-robin split, then one
+    // request of each memory type and one no organization can build.
+    std::vector<std::string> lines;
+    for (int i = 0; i < 3; ++i) {
+        lines.push_back(requestLine("a" + std::to_string(i), "64K", 4));
+        lines.push_back("{\"id\": \"b" + std::to_string(i) +
+                        "\", \"config\": {\"size\": \"128K\", "
+                        "\"block\": 64, \"associativity\": 8, \"type\": "
+                        "\"cache\", \"technology\": \"lp-dram\"}}");
+    }
+    lines.push_back("{\"id\": \"ram\", \"config\": {\"size\": \"256K\", "
+                    "\"block\": 64, \"type\": \"ram\", \"technology\": "
+                    "\"sram\"}}");
+    lines.push_back("{\"id\": \"chip\", \"config\": {\"size\": \"1M\", "
+                    "\"block\": 8, \"type\": \"main_memory\", "
+                    "\"technology\": \"comm-dram\"}}");
+    lines.push_back("{\"id\": \"llc\", \"config\": {\"size\": \"1M\", "
+                    "\"block\": 64, \"associativity\": 8, \"type\": "
+                    "\"cache\", \"technology\": \"lp-dram\"}}");
+    lines.push_back(requestLine("bad", "1K", 16, ", \"banks\": 8"));
+
+    auto serveWith = [&](int shard, int count, SolveCacheCounters &c,
+                         ServeStats &st) {
+        SolveCache cache;
+        ServeOptions opts;
+        opts.solver.cache = &cache;
+        opts.shardIndex = shard;
+        opts.shardCount = count;
+        std::vector<std::string> out = serveRequests(lines, opts, &st);
+        c = cache.counters();
+        return out;
+    };
+    SolveCacheCounters whole;
+    ServeStats whole_stats;
+    const std::vector<std::string> unsharded =
+        serveWith(0, 1, whole, whole_stats);
+    ASSERT_EQ(unsharded.size(), 10u);
+    EXPECT_EQ(whole_stats.ok, 9u);
+    EXPECT_EQ(whole_stats.failed, 1u);
+    EXPECT_NE(unsharded[9].find("no feasible tag organization"),
+              std::string::npos)
+        << unsharded[9];
+
+    SolveCacheCounters sum;
+    std::map<std::size_t, std::string> merged;
+    for (int shard = 0; shard < 2; ++shard) {
+        SolveCacheCounters c;
+        ServeStats st;
+        for (const std::string &line : serveWith(shard, 2, c, st)) {
+            std::size_t index = 0;
+            ASSERT_TRUE(responseIndex(line, index));
+            merged[index] = line;
+        }
+        sum.hits += c.hits;
+        sum.misses += c.misses;
+        sum.evictions += c.evictions;
+        sum.rejected += c.rejected;
+    }
+    ASSERT_EQ(merged.size(), unsharded.size());
+    for (const auto &[index, line] : merged)
+        EXPECT_EQ(line, unsharded[index]);
+    // Six distinct configs, each looked up once either way.
+    EXPECT_EQ(whole.hits, 0u);
+    EXPECT_EQ(whole.misses, 6u);
+    EXPECT_EQ(sum.hits, whole.hits);
+    EXPECT_EQ(sum.misses, whole.misses);
+    EXPECT_EQ(sum.evictions, whole.evictions);
+    EXPECT_EQ(sum.rejected, whole.rejected);
+}
+
 TEST(Serve, ResponseIndexParsesOnlyResponses)
 {
     std::size_t index = 123;

@@ -2,8 +2,9 @@
  * @file
  * Tests for the canonical config fingerprint, the memoized solve
  * cache (LRU bounds, want-all semantics, concurrency, on-disk record
- * validation) and the batch solve API's byte-identity with serial
- * solves.
+ * validation) and the batch solve API: byte-identity with serial
+ * solves, the same results, stats and cache state at any jobs, and
+ * per-request errors.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "core/cacti.hh"
@@ -892,6 +895,217 @@ TEST(SolveBatch, NonFiniteWeightInShareGroupFailsTheBatch)
     const SolverEngine engine{SolverOptions{}};
     EXPECT_THROW((void)engine.solveBatch({sramCache(), bad}),
                  std::invalid_argument);
+}
+
+/**
+ * Seven requests in five share groups: a duplicate and a weight-only
+ * variant ride along.
+ */
+std::vector<MemoryConfig>
+fiveGroupBatch()
+{
+    MemoryConfig ram = sramCache();
+    ram.type = MemoryType::PlainRam;
+    ram.capacityBytes = 128 << 10;
+    MemoryConfig wide = sramCache();
+    wide.capacityBytes = 512 << 10;
+    wide.associativity = 8;
+    MemoryConfig weighted = lpDramCache();
+    weighted.weights = {1.0, 2.0, 0.5, 0.5, 0.0, 2.0};
+    return {sramCache(), lpDramCache(), ram,         commDramChip(),
+            weighted,    wide,          sramCache()};
+}
+
+/** A valid config whose tag array no organization can build. */
+MemoryConfig
+infeasibleCache()
+{
+    MemoryConfig c = sramCache();
+    c.capacityBytes = 1 << 10;
+    c.associativity = 16;
+    c.nBanks = 8;
+    return c;
+}
+
+/** What run(cfg) throws, as (dynamic type name, message). */
+std::pair<std::string, std::string>
+runError(const MemoryConfig &cfg)
+{
+    try {
+        (void)SolverEngine(SolverOptions{1, true}).run(cfg);
+    } catch (const std::exception &e) {
+        return {typeid(e).name(), e.what()};
+    }
+    ADD_FAILURE() << "run() did not throw for " << cfg.summary();
+    return {};
+}
+
+/** The same pair for a captured error. */
+std::pair<std::string, std::string>
+errorOf(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return {typeid(e).name(), e.what()};
+    }
+}
+
+TEST(SolveBatch, SameResultsStatsAndEvictionsAtAnyJobs)
+{
+    const std::vector<MemoryConfig> batch = fiveGroupBatch();
+    std::vector<MemoryConfig> reversed(batch.rbegin(), batch.rend());
+    std::vector<SolveResult> want;
+    for (const MemoryConfig &cfg : batch)
+        want.push_back(SolverEngine(SolverOptions{1, true}).run(cfg));
+
+    struct Run {
+        std::vector<SolveResult> cold, warm;
+        BatchStats coldStats, warmStats;
+        SolveCacheCounters counters;
+        std::vector<bool> resident; ///< which configs survived, at the end
+    };
+    std::vector<Run> runs;
+    for (const int jobs : {1, 2, 8}) {
+        SolveCacheConfig small;
+        small.maxEntries = 3; // six unique solves: three are evicted
+        small.shards = 1;
+        SolveCache cache(small);
+        SolverOptions opts;
+        opts.jobs = jobs;
+        opts.cache = &cache;
+        const SolverEngine engine(opts);
+        Run r;
+        r.cold = engine.solveBatch(batch, &r.coldStats);
+        r.warm = engine.solveBatch(reversed, &r.warmStats);
+        r.counters = cache.counters();
+        for (const MemoryConfig &cfg : batch) {
+            const std::string key = canonicalKey(cfg);
+            SolveResult ignored;
+            r.resident.push_back(
+                cache.lookup(keyFingerprint(key), key, true, ignored));
+        }
+        runs.push_back(std::move(r));
+    }
+
+    for (std::size_t j = 0; j < runs.size(); ++j) {
+        SCOPED_TRACE("run " + std::to_string(j));
+        const Run &r = runs[j];
+        ASSERT_EQ(r.cold.size(), batch.size());
+        ASSERT_EQ(r.warm.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            expectIdenticalResult(r.cold[i], want[i]);
+            expectIdenticalResult(r.warm[batch.size() - 1 - i], want[i]);
+        }
+        EXPECT_EQ(r.coldStats.requests, 7u);
+        EXPECT_EQ(r.coldStats.uniqueSolves, 6u);
+        EXPECT_EQ(r.coldStats.shareGroups, 5u);
+        EXPECT_EQ(r.coldStats.cacheHits, 0u);
+        EXPECT_GT(r.counters.evictions, 0u);
+
+        const Run &first = runs.front();
+        EXPECT_EQ(r.warmStats.uniqueSolves, first.warmStats.uniqueSolves);
+        EXPECT_EQ(r.warmStats.cacheHits, first.warmStats.cacheHits);
+        EXPECT_EQ(r.warmStats.shareGroups, first.warmStats.shareGroups);
+        EXPECT_EQ(r.counters.hits, first.counters.hits);
+        EXPECT_EQ(r.counters.misses, first.counters.misses);
+        EXPECT_EQ(r.counters.inserts, first.counters.inserts);
+        EXPECT_EQ(r.counters.evictions, first.counters.evictions);
+        EXPECT_EQ(r.counters.entries, first.counters.entries);
+        EXPECT_EQ(r.counters.bytes, first.counters.bytes);
+        EXPECT_EQ(r.resident, first.resident);
+    }
+}
+
+TEST(SolveBatch, FirstFailingRequestThrowsTheSameAtAnyJobs)
+{
+    const std::pair<std::string, std::string> infeasible =
+        runError(infeasibleCache());
+    const std::vector<MemoryConfig> base = fiveGroupBatch();
+    for (const std::size_t at : {std::size_t(0), base.size() / 2,
+                                 base.size()}) {
+        std::vector<MemoryConfig> batch = base;
+        batch.insert(batch.begin() + std::ptrdiff_t(at), infeasibleCache());
+        for (const int jobs : {1, 2, 8}) {
+            SCOPED_TRACE("at " + std::to_string(at) + " jobs " +
+                         std::to_string(jobs));
+            try {
+                (void)SolverEngine(SolverOptions{jobs, true})
+                    .solveBatch(batch);
+                ADD_FAILURE() << "the batch did not throw";
+            } catch (const InfeasibleConfig &e) {
+                EXPECT_EQ(e.what(), infeasible.second);
+            }
+        }
+    }
+
+    // Two failures: the earlier request's error is the one thrown,
+    // though the weight-only variant fails inside the first group.
+    MemoryConfig bad_weight = sramCache();
+    bad_weight.weights.area = std::nan("");
+    const std::pair<std::string, std::string> weight = runError(bad_weight);
+    for (const int jobs : {1, 2, 8}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const SolverEngine engine(SolverOptions{jobs, true});
+        try {
+            (void)engine.solveBatch(
+                {commDramChip(), infeasibleCache(), sramCache(), bad_weight});
+            ADD_FAILURE() << "the batch did not throw";
+        } catch (const std::exception &e) {
+            EXPECT_EQ(e.what(), infeasible.second);
+        }
+        try {
+            (void)engine.solveBatch(
+                {commDramChip(), sramCache(), bad_weight, infeasibleCache()});
+            ADD_FAILURE() << "the batch did not throw";
+        } catch (const std::exception &e) {
+            EXPECT_EQ(e.what(), weight.second);
+        }
+    }
+}
+
+TEST(SolveBatch, ErrorOutParamFailsOnlyTheFailingRequests)
+{
+    MemoryConfig bad_weight = sramCache(); // shares sramCache()'s group
+    bad_weight.weights.area = std::nan("");
+    MemoryConfig bad_node = lpDramCache();
+    bad_node.featureNm = 22.0; // outside the technology window
+    const std::vector<MemoryConfig> batch = {
+        sramCache(),       infeasibleCache(), lpDramCache(), bad_weight,
+        infeasibleCache(), bad_node,          commDramChip()};
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        SolveCache cache;
+        SolverOptions opts;
+        opts.jobs = jobs;
+        opts.cache = &cache;
+        std::vector<std::exception_ptr> errors;
+        BatchStats stats;
+        const std::vector<SolveResult> results =
+            SolverEngine(opts).solveBatch(batch, &stats, &errors);
+        ASSERT_EQ(results.size(), batch.size());
+        ASSERT_EQ(errors.size(), batch.size());
+        EXPECT_EQ(stats.uniqueSolves, 6u);
+        EXPECT_EQ(stats.shareGroups, 5u);
+        std::size_t failed = 0;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            SCOPED_TRACE("request " + std::to_string(i));
+            SolveResult res;
+            try {
+                res = SolverEngine(SolverOptions{1, true}).run(batch[i]);
+            } catch (const std::exception &) {
+                ASSERT_TRUE(errors[i]);
+                EXPECT_EQ(errorOf(errors[i]), runError(batch[i]));
+                ++failed;
+                continue;
+            }
+            EXPECT_FALSE(errors[i]);
+            expectIdenticalResult(results[i], res);
+        }
+        EXPECT_EQ(failed, 4u);
+        // Only what solved is memoized.
+        EXPECT_EQ(cache.counters().inserts, 3u);
+    }
 }
 
 } // namespace

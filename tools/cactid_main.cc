@@ -61,14 +61,24 @@ printSweep(cactid::MemoryConfig cfg, const std::string &list,
 {
     std::printf("%-10s %9s %10s %10s %9s %9s\n", "capacity", "acc(ns)",
                 "area(mm2)", "rdE(nJ)", "leak(W)", "refresh(W)");
+    // One batch: the capacities solve side by side on opts.jobs
+    // threads, and the rows print once every one of them has solved.
+    std::vector<std::string> items;
+    std::vector<cactid::MemoryConfig> cfgs;
     std::stringstream ss(list);
     std::string item;
     while (std::getline(ss, item, ',')) {
         cfg.capacityBytes = cactid::tools::parseCapacity(item);
-        const cactid::SolveResult res = cactid::solve(cfg, opts);
+        items.push_back(item);
+        cfgs.push_back(cfg);
+    }
+    const std::vector<cactid::SolveResult> results =
+        cactid::SolverEngine(opts).solveBatch(cfgs);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const cactid::SolveResult &res = results[i];
         const cactid::Solution &s = res.best;
         std::printf("%-10s %9.3f %10.2f %10.3f %9.3f %9.4f\n",
-                    item.c_str(), s.accessTime * 1e9,
+                    items[i].c_str(), s.accessTime * 1e9,
                     s.totalArea * 1e6, s.readEnergy * 1e9, s.leakage,
                     s.refreshPower);
         if (stats) {
@@ -170,7 +180,8 @@ main(int argc, char **argv)
             cactid::tools::parseCommandLine(cl, argc, argv))
         return *rc;
     if (args.configPath.empty()) {
-        std::fputs(cactid::tools::usage(cl).c_str(), stdout);
+        std::fprintf(stderr, "%s: no config file (- reads stdin; see "
+                     "--help)\n", kTool);
         return 2;
     }
     if (!args.tracePath.empty() || args.profile)

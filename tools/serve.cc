@@ -159,7 +159,8 @@ serveRequests(const std::vector<std::string> &lines,
 
     // Batch every parseable request: duplicates solve once, weight-
     // only variants share one enumeration, and the configured cache
-    // memoizes across batches/processes.
+    // memoizes across batches/processes.  A request that cannot be
+    // solved fails alone, with the error run() would give it.
     struct Outcome {
         bool ok = false;
         SolveResult res;
@@ -173,28 +174,21 @@ serveRequests(const std::vector<std::string> &lines,
             cfgs.push_back(reqs[i].cfg);
         }
     }
+    std::vector<std::exception_ptr> errors;
+    std::vector<SolveResult> results =
+        SolverEngine(opts.solver).solveBatch(cfgs, nullptr, &errors);
     std::vector<Outcome> outcomes(reqs.size());
-    const SolverEngine engine(opts.solver);
-    bool batched = false;
-    try {
-        std::vector<SolveResult> results = engine.solveBatch(cfgs);
-        for (std::size_t v = 0; v < valid.size(); ++v) {
-            outcomes[valid[v]].ok = true;
-            outcomes[valid[v]].res = std::move(results[v]);
+    for (std::size_t v = 0; v < valid.size(); ++v) {
+        Outcome &out = outcomes[valid[v]];
+        if (!errors[v]) {
+            out.ok = true;
+            out.res = std::move(results[v]);
+            continue;
         }
-        batched = true;
-    } catch (const std::exception &) {
-        // Some request is infeasible: the batch is all-or-nothing, so
-        // degrade to per-request solves and fail only the bad ones.
-    }
-    if (!batched) {
-        for (const std::size_t v : valid) {
-            try {
-                outcomes[v].res = engine.run(reqs[v].cfg);
-                outcomes[v].ok = true;
-            } catch (const std::exception &e) {
-                outcomes[v].error = e.what();
-            }
+        try {
+            std::rethrow_exception(errors[v]);
+        } catch (const std::exception &e) {
+            out.error = e.what();
         }
     }
 

@@ -90,9 +90,9 @@ struct ServeStats {
 /**
  * Serve the non-empty lines of a request stream and return one
  * response line (no trailing newline) per assigned request, in
- * request order.  Solves go through SolverEngine::solveBatch; when
- * any request in the batch is infeasible the batch degrades to
- * per-request solves so one bad config only fails its own response.
+ * request order.  Solves go through one SolverEngine::solveBatch,
+ * which reports errors per request, so one bad config only fails its
+ * own response.
  */
 std::vector<std::string>
 serveRequests(const std::vector<std::string> &lines,
