@@ -32,9 +32,7 @@ void
 printSweep()
 {
     using namespace cactid;
-    // Streaming engine run: the sweep needs winners and prune counts,
-    // not the materialized solution space.
-    const SolverEngine engine(SolverOptions{0, false});
+    const SolverEngine engine(SolverOptions{0});
     std::printf("=== Ablation: optimizer constraints (16MB SRAM cache, "
                 "32nm) ===\n");
     std::printf("%-30s %8s %9s %9s %8s %7s %7s\n", "constraints",

@@ -208,7 +208,6 @@ main(int argc, char **argv)
     // --- Cold vs hot solves/sec through a fresh in-memory cache. ---
     SolveCache cache{SolveCacheConfig{}};
     SolverOptions copts;
-    copts.collectAll = false;
     copts.cache = &cache;
     const SolverEngine cached(copts);
 
@@ -264,7 +263,6 @@ main(int argc, char **argv)
     for (const int jobs : {1, 4}) {
         SolverOptions plain;
         plain.jobs = jobs;
-        plain.collectAll = false;
         const SolverEngine engine(plain);
         const std::vector<SolveResult> batched =
             engine.solveBatch(batch, &bstats);

@@ -16,10 +16,9 @@ main()
 {
     using namespace cactid;
 
-    // A sweep only needs the winners: solve it as one batch in
-    // streaming mode (no materialized solution space), one config per
-    // core at a time.
-    const SolverEngine engine(SolverOptions{0, false});
+    // A sweep only needs the winners: solve it as one batch, one
+    // config per core at a time.
+    const SolverEngine engine(SolverOptions{0});
 
     std::printf("LLC design space at 32 nm (8 banks, 64B lines, "
                 "sequential access)\n");

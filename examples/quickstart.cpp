@@ -45,7 +45,9 @@ main()
     std::cout << "=== " << dram.summary() << " ===\n";
     const SolveResult dram_result = solve(dram);
     std::cout << dram_result.best.report() << "\n";
-    std::printf("explored %zu organizations, %zu passed constraints\n",
-                dram_result.all.size(), dram_result.filtered.size());
+    std::printf("explored %llu organizations, %zu passed constraints\n",
+                static_cast<unsigned long long>(
+                    dram_result.stats.solutionsBuilt),
+                dram_result.filtered.size());
     return 0;
 }

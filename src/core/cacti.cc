@@ -8,23 +8,10 @@
 namespace cactid {
 
 SolveResult
-solve(const Technology &t, const MemoryConfig &cfg,
-      const SolverOptions &opts, EngineStats *stats)
-{
-    return SolverEngine(opts).run(t, cfg, stats);
-}
-
-SolveResult
 solve(const MemoryConfig &cfg, const SolverOptions &opts,
       EngineStats *stats)
 {
     return SolverEngine(opts).run(cfg, stats);
-}
-
-SolveResult
-solve(const Technology &t, const MemoryConfig &cfg)
-{
-    return solve(t, cfg, SolverOptions{});
 }
 
 SolveResult

@@ -30,22 +30,15 @@ namespace cactid {
 
 /**
  * Solve @p cfg: enumerate the organization space, apply the section-2.4
- * optimization, and return the chosen solution plus the explored space.
- * All overloads run on the SolverEngine; the plain forms use the
- * default options (jobs = hardware concurrency, collect everything).
+ * optimization, and return the chosen solution, the constraint
+ * survivors and the solve's stats.  Both overloads run on the
+ * SolverEngine; the plain form uses the default options (jobs =
+ * hardware concurrency, the global solve cache if one is installed).
  */
 SolveResult solve(const MemoryConfig &cfg);
 
-/** Solve against an explicitly constructed technology. */
-SolveResult solve(const Technology &t, const MemoryConfig &cfg);
-
-/** Solve with explicit engine options (thread count, streaming). */
+/** Solve with explicit engine options (thread count, cache). */
 SolveResult solve(const MemoryConfig &cfg, const SolverOptions &opts,
-                  EngineStats *stats = nullptr);
-
-/** Solve with explicit technology and engine options. */
-SolveResult solve(const Technology &t, const MemoryConfig &cfg,
-                  const SolverOptions &opts,
                   EngineStats *stats = nullptr);
 
 } // namespace cactid

@@ -6,12 +6,10 @@
 #include "core/engine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -22,6 +20,7 @@
 #include "core/solver.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "util/fan_out.hh"
 
 namespace cactid {
 
@@ -48,10 +47,9 @@ secondsSince(Clock::time_point start)
  */
 class StreamingFold {
 public:
-    StreamingFold(const MemoryConfig &cfg, bool collect_all,
-                  std::size_t candidates, EngineStats &st, SolveResult &res)
-        : slack_(1.0 + cfg.maxAreaConstraint), collectAll_(collect_all),
-          st_(st), res_(res)
+    StreamingFold(const MemoryConfig &cfg, std::size_t candidates,
+                  EngineStats &st)
+        : slack_(1.0 + cfg.maxAreaConstraint), st_(st)
     {
         // Every candidate fits, so the store never moves a solution to
         // grow; pages no solution reaches are never touched.
@@ -62,8 +60,6 @@ public:
     operator()(Solution &&s)
     {
         ++st_.solutionsBuilt;
-        if (collectAll_)
-            res_.all.push_back(s);
         const double area = s.totalArea;
         if (area < bestArea_) {
             bestArea_ = area;
@@ -117,9 +113,7 @@ private:
     }
 
     const double slack_;
-    const bool collectAll_;
     EngineStats &st_;
-    SolveResult &res_;
     std::vector<Live> live_;
     std::vector<Solution> store_;
     std::vector<std::size_t> free_;
@@ -139,9 +133,8 @@ SolverEngine::resolveJobs(int jobs)
 
 std::vector<Solution>
 SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
-                          SolveResult &res) const
+                          EngineStats &st) const
 {
-    EngineStats &st = res.stats;
     st.jobsUsed = resolveJobs(opts_.jobs);
 
     // --- Stage 1: validate, solve the tag path, enumerate candidates.
@@ -162,7 +155,7 @@ SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
     // --- Stages 2+3: evaluate the candidates in enumeration order and
     // fold each result into the live set.
     const auto t_eval = Clock::now();
-    StreamingFold fold(cfg, opts_.collectAll, candidates.size(), st, res);
+    StreamingFold fold(cfg, candidates.size(), st);
     {
         OBS_PROFILE_SCOPE("solver.evaluate");
         for (const Partition &p : candidates) {
@@ -191,47 +184,39 @@ SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
 }
 
 SolveResult
-SolverEngine::run(const Technology &t, const MemoryConfig &cfg,
-                  EngineStats *stats) const
-{
-    OBS_PROFILE_SCOPE("solver.run");
-    const auto t_total = Clock::now();
-
-    SolveResult res;
-    std::vector<Solution> live = runPipeline(t, cfg, res);
-
-    // --- Stage 4b: the objective pass.
-    const auto t_objective = Clock::now();
-    res.best = selectBest(live, cfg.weights);
-    res.filtered = std::move(live);
-    res.stats.filterSeconds += secondsSince(t_objective);
-
-    res.stats.totalSeconds = secondsSince(t_total);
-    if (stats)
-        *stats = res.stats;
-    return res;
-}
-
-SolveResult
 SolverEngine::run(const MemoryConfig &cfg, EngineStats *stats) const
 {
     SolveCache *cache = opts_.cache ? opts_.cache : globalSolveCache();
     std::string key;
     ConfigFingerprint fp;
+    SolveResult res;
     if (cache) {
         key = canonicalKey(cfg);
         fp = keyFingerprint(key);
-        SolveResult out;
-        if (cache->lookup(fp, key, opts_.collectAll, out)) {
+        if (cache->lookup(fp, key, res)) {
             if (stats)
-                *stats = out.stats;
-            return out;
+                *stats = res.stats;
+            return res;
         }
     }
+
     const Technology t(cfg.featureNm, cfg.temperatureK);
-    SolveResult res = run(t, cfg, stats);
+    {
+        OBS_PROFILE_SCOPE("solver.run");
+        const auto t_total = Clock::now();
+        std::vector<Solution> live = runPipeline(t, cfg, res.stats);
+
+        // --- Stage 4b: the objective pass.
+        const auto t_objective = Clock::now();
+        res.best = selectBest(live, cfg.weights);
+        res.filtered = std::move(live);
+        res.stats.filterSeconds += secondsSince(t_objective);
+        res.stats.totalSeconds = secondsSince(t_total);
+    }
+    if (stats)
+        *stats = res.stats;
     if (cache)
-        cache->insert(fp, key, res, opts_.collectAll);
+        cache->insert(fp, key, res);
     return res;
 }
 
@@ -284,8 +269,7 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
     std::unordered_map<std::string, std::size_t> byShareKey;
     for (std::size_t ui = 0; ui < uniq.size(); ++ui) {
         Unique &u = uniq[ui];
-        if (cache && cache->lookup(u.fp, u.key, opts_.collectAll,
-                                   u.res)) {
+        if (cache && cache->lookup(u.fp, u.key, u.res)) {
             ++bs.cacheHits;
             continue;
         }
@@ -322,14 +306,13 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
             }
             if (valid.empty())
                 return;
-            SolveResult shared;
+            EngineStats shared;
             std::vector<Solution> live =
                 runPipeline(t, *uniq[valid.front()].cfg, shared);
             for (std::size_t vi = 0; vi < valid.size(); ++vi) {
                 Unique &u = uniq[valid[vi]];
                 const bool last = vi + 1 == valid.size();
-                u.res.all = last ? std::move(shared.all) : shared.all;
-                u.res.stats = shared.stats;
+                u.res.stats = shared;
                 // selectBest writes the member's objective into the
                 // survivors, so each member ranks its own copy —
                 // exactly what an independent run(cfg) would have
@@ -351,40 +334,16 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
         }
     };
 
-    // --- Run the groups: inline when there is one group or one job,
-    // else on up to jobs threads pulling groups off a shared counter.
-    // The calling thread works too, and joins every thread before
-    // anything below reads a result.
-    const std::size_t width = std::min<std::size_t>(
-        static_cast<std::size_t>(resolveJobs(opts_.jobs)), groups.size());
-    if (width <= 1) {
-        for (const std::vector<std::size_t> &group : groups)
-            solveGroup(group);
-    } else {
-        std::atomic<std::size_t> next{0};
-        auto worker = [&] {
-            for (std::size_t g = next++; g < groups.size(); g = next++)
-                solveGroup(groups[g]);
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(width - 1);
-        try {
-            for (std::size_t w = 1; w < width; ++w)
-                pool.emplace_back(worker);
-        } catch (const std::system_error &) {
-            // Fewer threads than asked for: the ones started and this
-            // one still drain every group.
-        }
-        worker();
-        for (std::thread &th : pool)
-            th.join();
-    }
+    // --- Run the groups on up to jobs threads, this one among them.
+    // Every thread has joined before anything below reads a result.
+    util::fanOut(groups.size(), resolveJobs(opts_.jobs),
+                 [&](std::size_t g) { solveGroup(groups[g]); });
 
     // --- Memoize, in first-appearance order, what the groups solved.
     if (cache) {
         for (const Unique &u : uniq) {
             if (u.solved)
-                cache->insert(u.fp, u.key, u.res, opts_.collectAll);
+                cache->insert(u.fp, u.key, u.res);
         }
     }
 

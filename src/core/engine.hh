@@ -19,9 +19,9 @@
  * Determinism guarantee: a solve is one serial pass in enumeration
  * order, and share groups are independent, touch the cache only
  * before and after they run, and write only their own results.  So
- * SolveResult::best, ::filtered and ::all, the EngineStats counters
- * (jobsUsed aside), BatchStats and the cache's counters and LRU order
- * are the same at every jobs setting.
+ * SolveResult::best and ::filtered, the EngineStats counters (jobsUsed
+ * aside), BatchStats and the cache's counters and LRU order are the
+ * same at every jobs setting.
  *
  * The engine is stateless: one engine may solve many configs, from
  * many threads, concurrently.
@@ -43,6 +43,11 @@ namespace cactid {
 
 class SolveCache;
 
+// The implicit constructors of SolverOptions initialize its deprecated
+// member; only code that names it should see the deprecation.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+
 /** Knobs controlling how a solve executes (not what it computes). */
 struct SolverOptions {
     /**
@@ -53,24 +58,23 @@ struct SolverOptions {
     int jobs = 0;
 
     /**
-     * Keep every feasible solution in SolveResult::all (design-space
-     * scatter plots).  When false the engine streams: only solutions
-     * that can still survive the max-area constraint stay live, which
-     * bounds peak memory on large sweeps.
+     * Read nowhere: every solve streams and keeps only the constraint
+     * survivors.  Kept so callers that still assign it compile; no
+     * initializer should set it by position.
      */
+    [[deprecated("every solve streams; this option is read nowhere")]]
     bool collectAll = true;
 
     /**
-     * Memoization cache consulted by run(cfg) and solveBatch().
-     * nullptr falls back to globalSolveCache() (itself nullptr by
-     * default, i.e. no caching).  Caching never changes results: the
-     * engine's determinism guarantee makes a hit byte-identical to
-     * re-solving.  The explicit-Technology run(t, cfg) overload never
-     * caches — the cache key cannot see a caller-constructed
-     * Technology, so memoizing it could serve stale physics.
+     * Memoization cache consulted by run() and solveBatch().  nullptr
+     * falls back to globalSolveCache() (itself nullptr by default,
+     * i.e. no caching).  Caching never changes results: the engine's
+     * determinism guarantee makes a hit byte-identical to re-solving.
      */
     SolveCache *cache = nullptr;
 };
+
+#pragma GCC diagnostic pop
 
 /** What solveBatch did with its requests (dedup effectiveness). */
 struct BatchStats {
@@ -86,28 +90,22 @@ public:
     explicit SolverEngine(SolverOptions opts = {}) : opts_(opts) {}
 
     /**
-     * Solve @p cfg against @p t.  Statistics are always collected into
-     * the result's stats field; pass @p stats to also receive a copy
-     * (convenient when the result itself is discarded).
+     * Solve @p cfg through the configured (or global) SolveCache: a
+     * hit returns the memoized result (byte-identical best and
+     * filtered, stats from the solve that populated the entry), and a
+     * miss builds the technology, solves and memoizes.  Statistics are
+     * always collected into the result's stats field; pass @p stats to
+     * also receive a copy (convenient when the result itself is
+     * discarded).
      *
      * @throws InfeasibleConfig when no candidate is feasible.
-     */
-    SolveResult run(const Technology &t, const MemoryConfig &cfg,
-                    EngineStats *stats = nullptr) const;
-
-    /**
-     * Construct the technology from the config, then run.  This
-     * overload consults the configured (or global) SolveCache: a hit
-     * returns the memoized result — byte-identical best/filtered/all,
-     * stats from the solve that populated the entry — and a miss
-     * solves and memoizes.
      */
     SolveResult run(const MemoryConfig &cfg,
                     EngineStats *stats = nullptr) const;
 
     /**
      * Solve many configs at once, returning results in request order,
-     * each bit-identical (best/filtered/all) to an independent
+     * each bit-identical (best and filtered) to an independent
      * run(cfg) call at any jobs setting.
      *
      * The batch is collapsed twice before any work happens: requests
@@ -146,14 +144,13 @@ public:
 private:
     /**
      * Stages 1-3 plus the access-time pass: everything before the
-     * objective.  Fills res.all (when collecting) and res.stats, and
-     * returns the constraint survivors with objectives unset.  This
-     * is the weight-independent prefix solveBatch shares across a
-     * group.
+     * objective.  Fills @p st and returns the constraint survivors
+     * with objectives unset.  This is the weight-independent prefix
+     * solveBatch shares across a group.
      */
     std::vector<Solution> runPipeline(const Technology &t,
                                       const MemoryConfig &cfg,
-                                      SolveResult &res) const;
+                                      EngineStats &st) const;
 
     SolverOptions opts_;
 };

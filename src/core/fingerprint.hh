@@ -4,10 +4,10 @@
  *
  * Two MemoryConfigs produce the same fingerprint exactly when every
  * solve-relevant field is equal — the fields that determine the bytes
- * of SolveResult::best / filtered / all.  Execution knobs (worker
- * count, streaming mode, export paths, request ids) are deliberately
- * outside the key: a request solved with `--jobs 8` must hit the
- * entry a `--jobs 1` solve stored.
+ * of SolveResult::best / filtered.  Execution knobs (worker count,
+ * export paths, request ids) are deliberately outside the key: a
+ * request solved with `--jobs 8` must hit the entry a `--jobs 1`
+ * solve stored.
  *
  * The key is built in two steps so it is auditable: canonicalKey()
  * renders every solve-relevant field into a stable `field=value` text
@@ -18,7 +18,7 @@
  * record alone.
  *
  * Scope rule for new MemoryConfig fields: if a field can change any
- * byte of best/filtered/all, it MUST be added to canonicalKey() (the
+ * byte of best/filtered, it MUST be added to canonicalKey() (the
  * fingerprint unit tests enumerate the struct exhaustively and fail
  * on unhashed solve-relevant fields).
  */

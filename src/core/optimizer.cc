@@ -119,23 +119,4 @@ selectBest(std::vector<Solution> &sols, const OptimizationWeights &w)
     return *best;
 }
 
-SolveResult
-optimize(const MemoryConfig &cfg, std::vector<Solution> all)
-{
-    if (all.empty())
-        throw InfeasibleConfig("no feasible solutions for " +
-                               cfg.summary());
-
-    SolveResult res;
-    res.all = all;
-    res.stats.solutionsBuilt = all.size();
-
-    res.stats.areaPruned = filterByArea(all, cfg.maxAreaConstraint);
-    res.stats.timePruned =
-        filterByAccessTime(all, cfg.maxAccTimeConstraint);
-    res.best = selectBest(all, cfg.weights);
-    res.filtered = std::move(all);
-    return res;
-}
-
 } // namespace cactid

@@ -4,9 +4,10 @@
  * passes: a max-area constraint filter, a max-access-time constraint
  * filter, and a normalized weighted objective over dynamic energy,
  * static power (leakage + refresh), random cycle time and multisubbank
- * interleave cycle time.  optimize() composes the passes; each pass is
- * also exposed on its own so callers (the SolverEngine, tests, custom
- * sweeps) can run and instrument them individually.
+ * interleave cycle time.  The SolverEngine composes the passes (its
+ * streaming fold applies the area criterion as solutions arrive); each
+ * pass is exposed on its own so tests and custom sweeps can run and
+ * instrument them individually.
  */
 
 #ifndef CACTID_CORE_OPTIMIZER_HH
@@ -69,15 +70,6 @@ double objectiveValue(const Solution &s, const OptimizationWeights &w,
  */
 Solution selectBest(std::vector<Solution> &sols,
                     const OptimizationWeights &w);
-
-/**
- * Apply the section-2.4 optimization process to the enumerated
- * solutions: area filter, then access-time filter, then the weighted
- * objective.  Fills the pruned-count fields of the result's stats.
- *
- * @throws InfeasibleConfig when @p all is empty.
- */
-SolveResult optimize(const MemoryConfig &cfg, std::vector<Solution> all);
 
 } // namespace cactid
 

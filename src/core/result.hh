@@ -57,18 +57,16 @@ struct Solution {
     std::string report() const;
 };
 
-/** Result of a solve: the chosen solution plus the explored space. */
+/**
+ * Result of a solve: the chosen solution plus the constraint
+ * survivors it was picked from.  The solve streams, so the rest of
+ * the explored space is only counted (stats.solutionsBuilt), never
+ * kept.
+ */
 struct SolveResult {
     Solution best;
     /** All feasible solutions that passed the constraint filters. */
     std::vector<Solution> filtered;
-    /**
-     * All feasible solutions (for design-space scatter plots).  Only
-     * populated when SolverOptions::collectAll is set (the default for
-     * the plain solve() wrappers); a streaming engine run leaves it
-     * empty and retains only constraint survivors.
-     */
-    std::vector<Solution> all;
     /** How the solve went: counters and per-stage wall times. */
     EngineStats stats;
 };

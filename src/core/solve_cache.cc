@@ -19,11 +19,11 @@ namespace cactid {
 
 namespace {
 
-constexpr const char *kCacheHeader = "cactid-cache-v1";
+constexpr const char *kCacheHeader = "cactid-cache-v2";
 
 // Each persisted struct's fields, listed once: the same template
 // writes them through a RecordWriter and reads them back through a
-// RecordReader (util/record.hh).  The order is the cactid-cache-v1
+// RecordReader (util/record.hh).  The order is the cactid-cache-v2
 // byte layout.
 
 template <class Io, class B>
@@ -64,18 +64,15 @@ engineStatsFields(Io &io, S &st)
 }
 
 /** A record's fields after its identity (build stamp, key) lines. */
-template <class Io, class R, class B>
+template <class Io, class R>
 void
-resultFields(Io &io, R &res, B &has_all)
+resultFields(Io &io, R &res)
 {
-    io.line("hasall")(has_all);
     engineStatsFields(io.line("stats"), res.stats);
     solutionFields(io.line("best"), res.best);
-    const auto solution = [](auto &s_io, auto &s) {
+    io.list("filtered", "s", res.filtered, [](auto &s_io, auto &s) {
         solutionFields(s_io, s);
-    };
-    io.list("filtered", "s", res.filtered, solution);
-    io.list("all", "s", res.all, solution);
+    });
 }
 
 /** Approximate resident size of one cache entry. */
@@ -84,9 +81,7 @@ entryBytes(const std::string &key, const SolveResult &res)
 {
     // Key bytes + one Solution per stored element (best counts as
     // one) + a fixed allowance for the list/map node bookkeeping.
-    return key.size() +
-           (res.filtered.size() + res.all.size() + 1) *
-               sizeof(Solution) +
+    return key.size() + (res.filtered.size() + 1) * sizeof(Solution) +
            128;
 }
 
@@ -126,7 +121,7 @@ SolveCache::shardFor(const ConfigFingerprint &fp)
 
 bool
 SolveCache::lookup(const ConfigFingerprint &fp, const std::string &key,
-                   bool want_all, SolveResult &out)
+                   SolveResult &out)
 {
     Shard &sh = shardFor(fp);
     {
@@ -134,19 +129,15 @@ SolveCache::lookup(const ConfigFingerprint &fp, const std::string &key,
         const auto it = sh.index.find(fp.lo);
         if (it != sh.index.end()) {
             Entry &e = *it->second;
-            if (e.fp == fp && e.key == key &&
-                (e.hasAll || !want_all)) {
+            if (e.fp == fp && e.key == key) {
                 sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
                 out = e.res;
-                if (!want_all)
-                    out.all.clear();
                 hits_.fetch_add(1, std::memory_order_relaxed);
                 return true;
             }
         }
     }
-    if (!cfg_.diskDir.empty() &&
-        diskLookup(fp, key, want_all, out)) {
+    if (!cfg_.diskDir.empty() && diskLookup(fp, key, out)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         diskHits_.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -157,39 +148,31 @@ SolveCache::lookup(const ConfigFingerprint &fp, const std::string &key,
 
 bool
 SolveCache::diskLookup(const ConfigFingerprint &fp,
-                       const std::string &key, bool want_all,
-                       SolveResult &out)
+                       const std::string &key, SolveResult &out)
 {
     const std::string path = recordPath(fp);
     std::string bytes;
     if (!util::readFile(path, bytes))
         return false; // a missing record is a plain miss
     SolveResult res;
-    bool has_all = false;
     std::string why;
-    if (decodeRecord(bytes, fp, key, res, has_all, &why) !=
-        Load::Loaded) {
+    if (decodeRecord(bytes, fp, key, res, &why) != Load::Loaded) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         warnOnce("rejected cache record " + path + ": " + why);
         return false;
     }
-    if (!has_all && want_all)
-        return false; // memoized without `all`; must re-solve
     {
         Shard &sh = shardFor(fp);
         std::lock_guard<std::mutex> lock(sh.mtx);
-        storeLocked(sh, fp, key, res, has_all);
+        storeLocked(sh, fp, key, res);
     }
     out = std::move(res);
-    if (!want_all)
-        out.all.clear();
     return true;
 }
 
 void
 SolveCache::storeLocked(Shard &sh, const ConfigFingerprint &fp,
-                        const std::string &key, const SolveResult &res,
-                        bool has_all)
+                        const std::string &key, const SolveResult &res)
 {
     const auto it = sh.index.find(fp.lo);
     if (it != sh.index.end()) {
@@ -201,7 +184,6 @@ SolveCache::storeLocked(Shard &sh, const ConfigFingerprint &fp,
     e.fp = fp;
     e.key = key;
     e.res = res;
-    e.hasAll = has_all;
     e.bytes = entryBytes(key, res);
     sh.bytes += e.bytes;
     sh.lru.push_front(std::move(e));
@@ -221,19 +203,19 @@ SolveCache::storeLocked(Shard &sh, const ConfigFingerprint &fp,
 
 void
 SolveCache::insert(const ConfigFingerprint &fp, const std::string &key,
-                   const SolveResult &res, bool has_all)
+                   const SolveResult &res)
 {
     {
         Shard &sh = shardFor(fp);
         std::lock_guard<std::mutex> lock(sh.mtx);
-        storeLocked(sh, fp, key, res, has_all);
+        storeLocked(sh, fp, key, res);
     }
     inserts_.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.diskDir.empty())
         return;
     std::string err;
-    if (util::writeFileAtomic(recordPath(fp),
-                              encodeRecord(key, res, has_all), &err))
+    if (util::writeFileAtomic(recordPath(fp), encodeRecord(key, res),
+                              &err))
         diskWrites_.fetch_add(1, std::memory_order_relaxed);
     else
         warnOnce("cache record write failed: " + err);
@@ -268,12 +250,12 @@ SolveCache::recordPath(const ConfigFingerprint &fp) const
 
 std::string
 SolveCache::encodeRecord(const std::string &key,
-                         const SolveResult &res, bool has_all) const
+                         const SolveResult &res) const
 {
     util::RecordWriter w(kCacheHeader);
     w.text("build", stamp_);
     w.text("key", key);
-    resultFields(w, res, has_all);
+    resultFields(w, res);
     return w.finish();
 }
 
@@ -281,7 +263,7 @@ SolveCache::Load
 SolveCache::decodeRecord(const std::string &bytes,
                          const ConfigFingerprint &fp,
                          const std::string &key, SolveResult &out,
-                         bool &has_all, std::string *why) const
+                         std::string *why) const
 {
     const auto reject = [&](const std::string &reason) {
         if (why)
@@ -298,11 +280,9 @@ SolveCache::decodeRecord(const std::string &bytes,
     if (rd.ok() && (rec_key != key || keyFingerprint(rec_key) != fp))
         return reject("canonical key mismatch (alien record)");
     SolveResult res;
-    bool all = false;
-    resultFields(rd, res, all);
+    resultFields(rd, res);
     if (!rd.finish())
         return reject(rd.error());
-    has_all = all;
     out = std::move(res);
     return Load::Loaded;
 }

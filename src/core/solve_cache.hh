@@ -6,25 +6,27 @@
  *
  * Design-space sweeps re-solve the same (technology, capacity,
  * geometry) points over and over; a production solve service answers
- * millions of queries dominated by repeats.  The cache memoizes the
- * deterministic part of a SolveResult (best / filtered / all plus the
- * deterministic stats counters) keyed by the 128-bit canonical config
- * fingerprint (core/fingerprint.hh), and a hit is byte-identical to
- * re-running the solve — the engine's jobs=N == jobs=1 determinism
- * guarantee is what makes memoization sound in the first place.
+ * millions of queries dominated by repeats.  The cache memoizes a
+ * SolveResult (the best solution, the constraint survivors and the
+ * solve's stats) keyed by the 128-bit canonical config fingerprint
+ * (core/fingerprint.hh), and a hit is byte-identical to re-running
+ * the solve — the engine's jobs=N == jobs=1 determinism guarantee is
+ * what makes memoization sound in the first place.
  *
  * Concurrency: the cache is sharded by fingerprint; every shard has
  * its own lock and LRU list, and all counters are atomics, so many
  * engine threads may hit one cache concurrently (TSan-tested).
  *
  * Durability: with `diskDir` set, every insert also writes one
- * `sc-<fingerprint>.v1` record ("cactid-cache-v1" in the checksummed
+ * `sc-<fingerprint>.v1` record ("cactid-cache-v2" in the checksummed
  * framing of util/record.hh, written via the shared atomic-file
  * helper) and a memory miss falls back to the directory.  Records are
  * stamped with the build fingerprint of the binary that wrote them: a
- * record written by a different model build, a torn write, or an
- * alien file is rejected (engine.cache.rejected, one-line warning)
- * and re-solved — stale models never serve.
+ * record written by a different model build or in an older format, a
+ * torn write, or an alien file is rejected (engine.cache.rejected,
+ * one-line warning) and re-solved — stale models never serve.  The
+ * file name keeps its `.v1` suffix, so a cactid-cache-v1 record left
+ * in a directory is found, rejected and overwritten, not orphaned.
  */
 
 #ifndef CACTID_CORE_SOLVE_CACHE_HH
@@ -101,24 +103,18 @@ public:
      * and return true.  @p key is the canonical key string of the
      * request — compared byte-wise against the entry so even a
      * 128-bit fingerprint collision cannot serve the wrong config.
-     *
-     * @p want_all demands SolveResult::all: an entry memoized by a
-     * streaming solve (no `all`) misses for a collect-all request
-     * (and is upgraded by the insert that follows); an entry that has
-     * `all` serves a streaming request with `all` stripped, matching
-     * a direct streaming solve byte for byte.
      */
     bool lookup(const ConfigFingerprint &fp, const std::string &key,
-                bool want_all, SolveResult &out);
+                SolveResult &out);
 
     /**
-     * Memoize @p res for (@p fp, @p key); @p has_all records whether
-     * res.all was collected.  Replaces any existing entry, bumps it
-     * to most-recently-used, evicts LRU entries past the bounds, and
-     * persists a record when a disk directory is configured.
+     * Memoize @p res for (@p fp, @p key).  Replaces any existing
+     * entry, bumps it to most-recently-used, evicts LRU entries past
+     * the bounds, and persists a record when a disk directory is
+     * configured.
      */
     void insert(const ConfigFingerprint &fp, const std::string &key,
-                const SolveResult &res, bool has_all);
+                const SolveResult &res);
 
     SolveCacheCounters counters() const;
 
@@ -136,10 +132,9 @@ public:
 
     // --- Record codec (exposed for tests and tooling).
 
-    /** Serialize one cache record ("cactid-cache-v1" text). */
+    /** Serialize one cache record ("cactid-cache-v2" text). */
     std::string encodeRecord(const std::string &key,
-                             const SolveResult &res,
-                             bool has_all) const;
+                             const SolveResult &res) const;
 
     /** decodeRecord outcome. */
     enum class Load : std::uint8_t {
@@ -155,7 +150,7 @@ public:
     Load decodeRecord(const std::string &bytes,
                       const ConfigFingerprint &fp,
                       const std::string &key, SolveResult &out,
-                      bool &has_all, std::string *why = nullptr) const;
+                      std::string *why = nullptr) const;
 
     /** On-disk record path of @p fp (empty when no disk store). */
     std::string recordPath(const ConfigFingerprint &fp) const;
@@ -165,7 +160,6 @@ private:
         ConfigFingerprint fp;
         std::string key;
         SolveResult res;
-        bool hasAll = false;
         std::size_t bytes = 0;
     };
 
@@ -180,11 +174,9 @@ private:
 
     Shard &shardFor(const ConfigFingerprint &fp);
     void storeLocked(Shard &sh, const ConfigFingerprint &fp,
-                     const std::string &key, const SolveResult &res,
-                     bool has_all);
+                     const std::string &key, const SolveResult &res);
     bool diskLookup(const ConfigFingerprint &fp,
-                    const std::string &key, bool want_all,
-                    SolveResult &out);
+                    const std::string &key, SolveResult &out);
     void warnOnce(const std::string &msg);
 
     SolveCacheConfig cfg_;

@@ -67,18 +67,4 @@ CandidateEvaluator::operator()(const Partition &p)
     return s;
 }
 
-std::vector<Solution>
-enumerateSolutions(const Technology &t, const MemoryConfig &cfg)
-{
-    CandidateEvaluator eval(t, cfg);
-    std::vector<Solution> out;
-    forEachPartition(eval.spec().sizeBits, eval.spec().outputBits,
-                     eval.spec().tech, PartitionLimits{},
-                     [&](const Partition &p) {
-                         if (auto s = eval(p))
-                             out.push_back(std::move(*s));
-                     });
-    return out;
-}
-
 } // namespace cactid

@@ -2,15 +2,13 @@
  * @file
  * Candidate evaluation: turns one partition of the organization space
  * into a complete Solution for a MemoryConfig.  The SolverEngine runs
- * one evaluator per solve; enumerateSolutions() is the serial
- * collect-everything convenience wrapper.
+ * one evaluator per solve.
  */
 
 #ifndef CACTID_CORE_SOLVER_HH
 #define CACTID_CORE_SOLVER_HH
 
 #include <optional>
-#include <vector>
 
 #include "array/bank.hh"
 #include "array/partition.hh"
@@ -59,15 +57,6 @@ private:
     std::optional<RepeatedWire> chipWire_; ///< main-memory chips only
     BankBuilder banks_;
 };
-
-/**
- * Enumerate every feasible complete solution for @p cfg.  For caches the
- * tag array is solved once (latency-optimal) and combined with each
- * feasible data organization; for main-memory chips chip-level routing
- * and interface effects are added by the DRAM chip model.
- */
-std::vector<Solution> enumerateSolutions(const Technology &t,
-                                         const MemoryConfig &cfg);
 
 } // namespace cactid
 

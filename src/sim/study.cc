@@ -165,14 +165,7 @@ Study::Study()
     }
 
     // One batch solves the eight configs side by side, one per core.
-    // The study only consumes .best, so solve in streaming mode (no
-    // SolveResult::all): identical winners, bounded peak memory, and
-    // much smaller entries when a process-global solve cache is
-    // installed (cactid-study --cache / --cache-dir).
-    SolverOptions stream;
-    stream.collectAll = false;
-    const std::vector<SolveResult> solved =
-        SolverEngine(stream).solveBatch(cfgs);
+    const std::vector<SolveResult> solved = SolverEngine().solveBatch(cfgs);
     l1_ = quantize("L1", solved[0].best);
     l2_ = quantize("L2", solved[1].best);
     for (std::size_t i = 0; i < std::size(specs); ++i) {

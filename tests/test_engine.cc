@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the SolverEngine: parallel/serial determinism across all
- * three cell technologies, streaming mode, stats accounting,
- * equivalence with the legacy enumerate-then-optimize path, and the
- * per-solve bank memo's equality with fresh bank builds.
+ * three cell technologies, stats accounting, equivalence of the
+ * streaming fold with the enumerate-then-optimize reference path, and
+ * the per-solve bank memo's equality with fresh bank builds.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "core/cache_model.hh"
 #include "core/cacti.hh"
 #include "core/engine.hh"
+#include "reference_solve.hh"
 
 namespace {
 
@@ -88,18 +89,18 @@ class EngineDeterminism
 TEST_P(EngineDeterminism, ParallelMatchesSerialBitExactly)
 {
     const MemoryConfig cfg = GetParam();
-    const SolveResult serial = solve(cfg, SolverOptions{1, true});
-    const SolveResult parallel = solve(cfg, SolverOptions{8, true});
+    const SolveResult serial = solve(cfg, SolverOptions{1});
+    const SolveResult parallel = solve(cfg, SolverOptions{8});
 
     expectIdentical(serial.best, parallel.best);
     ASSERT_EQ(serial.filtered.size(), parallel.filtered.size());
-    ASSERT_EQ(serial.all.size(), parallel.all.size());
     for (std::size_t i = 0; i < serial.filtered.size(); ++i)
         expectIdentical(serial.filtered[i], parallel.filtered[i]);
     EXPECT_EQ(serial.stats.partitionsEnumerated,
               parallel.stats.partitionsEnumerated);
     EXPECT_EQ(serial.stats.partitionsInfeasible,
               parallel.stats.partitionsInfeasible);
+    EXPECT_EQ(serial.stats.solutionsBuilt, parallel.stats.solutionsBuilt);
     EXPECT_EQ(serial.stats.areaPruned, parallel.stats.areaPruned);
     EXPECT_EQ(serial.stats.timePruned, parallel.stats.timePruned);
 }
@@ -110,17 +111,23 @@ INSTANTIATE_TEST_SUITE_P(AllTechnologies, EngineDeterminism,
 
 TEST(Engine, MatchesLegacyEnumerateThenOptimize)
 {
-    const MemoryConfig cfg = sramCache();
-    const Technology t(cfg.featureNm, cfg.temperatureK);
-    const SolveResult legacy =
-        optimize(cfg, enumerateSolutions(t, cfg));
-    const SolveResult engine =
-        SolverEngine(SolverOptions{4, true}).run(t, cfg);
-    expectIdentical(legacy.best, engine.best);
-    ASSERT_EQ(legacy.filtered.size(), engine.filtered.size());
-    for (std::size_t i = 0; i < legacy.filtered.size(); ++i)
-        expectIdentical(legacy.filtered[i], engine.filtered[i]);
-    EXPECT_EQ(legacy.all.size(), engine.all.size());
+    for (const MemoryConfig &cfg :
+         {sramCache(), lpDramCache(), commDramChip()}) {
+        SCOPED_TRACE(cfg.summary());
+        const Technology t(cfg.featureNm, cfg.temperatureK);
+        const SolveResult legacy = reference::optimize(
+            cfg, reference::enumerateSolutions(t, cfg));
+        const SolveResult engine = SolverEngine(SolverOptions{4}).run(cfg);
+        expectIdentical(legacy.best, engine.best);
+        ASSERT_EQ(legacy.filtered.size(), engine.filtered.size());
+        for (std::size_t i = 0; i < legacy.filtered.size(); ++i)
+            expectIdentical(legacy.filtered[i], engine.filtered[i]);
+        // The reference's feasible count is what the fold counted.
+        EXPECT_EQ(legacy.stats.solutionsBuilt,
+                  engine.stats.solutionsBuilt);
+        EXPECT_EQ(legacy.stats.areaPruned, engine.stats.areaPruned);
+        EXPECT_EQ(legacy.stats.timePruned, engine.stats.timePruned);
+    }
 }
 
 TEST(Engine, StatsAccountingIdentityHolds)
@@ -128,12 +135,11 @@ TEST(Engine, StatsAccountingIdentityHolds)
     for (const MemoryConfig &cfg :
          {sramCache(), lpDramCache(), commDramChip()}) {
         EngineStats st;
-        const SolveResult res = solve(cfg, SolverOptions{2, true}, &st);
+        const SolveResult res = solve(cfg, SolverOptions{2}, &st);
         EXPECT_EQ(st.partitionsEnumerated,
                   st.partitionsInfeasible + st.solutionsBuilt);
         EXPECT_EQ(st.solutionsBuilt,
                   st.areaPruned + st.timePruned + res.filtered.size());
-        EXPECT_EQ(st.solutionsBuilt, res.all.size());
         EXPECT_GT(st.partitionsEnumerated, 0u);
         EXPECT_GT(st.totalSeconds, 0.0);
         EXPECT_GE(st.totalSeconds,
@@ -146,27 +152,12 @@ TEST(Engine, StatsAccountingIdentityHolds)
     }
 }
 
-TEST(Engine, StreamingModeMatchesCollectAll)
-{
-    const MemoryConfig cfg = lpDramCache();
-    const SolveResult full = solve(cfg, SolverOptions{1, true});
-    const SolveResult streamed = solve(cfg, SolverOptions{1, false});
-    expectIdentical(full.best, streamed.best);
-    ASSERT_EQ(full.filtered.size(), streamed.filtered.size());
-    for (std::size_t i = 0; i < full.filtered.size(); ++i)
-        expectIdentical(full.filtered[i], streamed.filtered[i]);
-    EXPECT_TRUE(streamed.all.empty());
-    // Streaming keeps only potential area-constraint survivors live.
-    EXPECT_LE(streamed.stats.peakLiveSolutions,
-              streamed.stats.solutionsBuilt);
-}
-
 TEST(Engine, ZeroJobsResolvesToHardwareConcurrency)
 {
     EXPECT_GE(SolverEngine::resolveJobs(0), 1);
     EXPECT_EQ(SolverEngine::resolveJobs(3), 3);
     EngineStats st;
-    solve(sramCache(), SolverOptions{0, false}, &st);
+    solve(sramCache(), SolverOptions{0}, &st);
     EXPECT_EQ(st.jobsUsed, SolverEngine::resolveJobs(0));
 }
 
@@ -175,8 +166,8 @@ TEST(Engine, MoreJobsThanCandidatesStillWorks)
     MemoryConfig c = sramCache();
     c.capacityBytes = 64 << 10; // tiny space
     c.nBanks = 1;
-    const SolveResult serial = solve(c, SolverOptions{1, true});
-    const SolveResult wide = solve(c, SolverOptions{64, true});
+    const SolveResult serial = solve(c, SolverOptions{1});
+    const SolveResult wide = solve(c, SolverOptions{64});
     expectIdentical(serial.best, wide.best);
     EXPECT_EQ(serial.filtered.size(), wide.filtered.size());
 }
@@ -184,7 +175,7 @@ TEST(Engine, MoreJobsThanCandidatesStillWorks)
 TEST(Engine, StatsReportMentionsEveryStage)
 {
     EngineStats st;
-    solve(sramCache(), SolverOptions{2, true}, &st);
+    solve(sramCache(), SolverOptions{2}, &st);
     const std::string r = st.report();
     EXPECT_NE(r.find("enumerated"), std::string::npos);
     EXPECT_NE(r.find("infeasible"), std::string::npos);
@@ -227,7 +218,7 @@ TEST(Engine, NoFeasibleOrganizationThrowsInfeasibleConfig)
                 << e.what();
         }
     }
-    EXPECT_THROW(optimize(tag, {}), InfeasibleConfig);
+    EXPECT_THROW(reference::optimize(tag, {}), InfeasibleConfig);
 }
 
 // --- The per-solve bank memo -----------------------------------------

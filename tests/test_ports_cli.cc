@@ -143,13 +143,20 @@ TEST(ConfigParser, SolverOptionKeys)
     std::istringstream in(R"(
 size = 1M
 jobs = 4
-collect_all = false
 )");
     SolverOptions opts;
     const MemoryConfig c = tools::parseConfig(in, &opts);
     EXPECT_DOUBLE_EQ(c.capacityBytes, 1024.0 * 1024.0);
     EXPECT_EQ(opts.jobs, 4);
-    EXPECT_FALSE(opts.collectAll);
+
+    // Every solve streams, so collect_all is no key any more.
+    std::istringstream retired("size = 1M\ncollect_all = true\n");
+    try {
+        tools::parseConfig(retired, &opts);
+        ADD_FAILURE() << "collect_all was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "line 2: unknown key 'collect_all'");
+    }
 }
 
 TEST(ConfigParser, SolverOptionKeysAcceptedWithoutOptionsOut)

@@ -3,15 +3,28 @@
  * StudyRunner tests: the worker pool must reproduce the serial sweep
  * bit-for-bit (aggregates, per-epoch streams, and the exported JSON
  * bytes) for any jobs count, and the epoch streams must tile the run
- * exactly.
+ * exactly.  Also the fan-out under the pool (and under solveBatch):
+ * every index exactly once at any width, even when no thread starts.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "sim/runner.hh"
+#include "util/fan_out.hh"
 
 using namespace archsim;
 
@@ -174,4 +187,137 @@ TEST(RunnerJobs, ResolveJobs)
 TEST(EpochRecorderTest, ZeroIntervalThrows)
 {
     EXPECT_THROW(EpochRecorder rec(0), std::invalid_argument);
+}
+
+// --- The fan-out -----------------------------------------------------
+
+namespace {
+
+using cactid::util::fanOut;
+
+/** What one fanOut call did with its indices. */
+struct FanOutLog {
+    std::vector<int> calls;       ///< times each index ran
+    std::size_t peakInFlight = 0; ///< most indices running at once
+};
+
+/**
+ * fanOut(n, width) over indices that each wait (for at most 10 s)
+ * until min(n, width) of them have been in flight at once, so the
+ * peak shows the width the call really ran at.
+ */
+FanOutLog
+logFanOut(std::size_t n, int width)
+{
+    const std::size_t want = std::min<std::size_t>(n, width);
+    std::vector<std::atomic<int>> calls(n);
+    std::atomic<std::size_t> in_flight{0};
+    std::atomic<std::size_t> peak{0};
+    fanOut(n, width, [&](std::size_t i) {
+        ++calls[i];
+        const std::size_t now = ++in_flight;
+        std::size_t seen = peak;
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (peak < want && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        --in_flight;
+    });
+    FanOutLog log;
+    for (const std::atomic<int> &c : calls)
+        log.calls.push_back(c);
+    log.peakInFlight = peak;
+    return log;
+}
+
+} // namespace
+
+TEST(FanOut, WidthOneRunsInlineInOrder)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    fanOut(5, 1, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(FanOut, WidthNRunsEveryIndexOnceAtWidthN)
+{
+    const FanOutLog log = logFanOut(4, 4);
+    EXPECT_EQ(log.calls, std::vector<int>(4, 1));
+    EXPECT_EQ(log.peakInFlight, 4u);
+}
+
+TEST(FanOut, WidthAboveNRunsEveryIndexOnce)
+{
+    const FanOutLog log = logFanOut(3, 16);
+    EXPECT_EQ(log.calls, std::vector<int>(3, 1));
+    EXPECT_EQ(log.peakInFlight, 3u);
+    EXPECT_EQ(logFanOut(0, 16).calls.size(), 0u);
+}
+
+TEST(FanOut, ThrowingIndexStopsNoOtherAndRethrowsAfterJoin)
+{
+    for (const int width : {1, 3}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        std::vector<std::atomic<int>> calls(6);
+        EXPECT_THROW(fanOut(6, width,
+                            [&](std::size_t i) {
+                                ++calls[i];
+                                if (i == 1)
+                                    throw std::runtime_error("index 1");
+                            }),
+                     std::runtime_error);
+        for (const std::atomic<int> &c : calls)
+            EXPECT_EQ(c, 1);
+    }
+}
+
+TEST(FanOut, ThreadsThatCannotStartLeaveTheWorkToTheCaller)
+{
+    // A forked child lowers RLIMIT_NPROC to 0, so every thread the
+    // fan-out asks for fails to start (EAGAIN); the caller alone must
+    // still run each index once and return.
+    if (::geteuid() == 0)
+        GTEST_SKIP() << "root is exempt from RLIMIT_NPROC";
+#if defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "TSan refuses to start threads after a fork";
+#endif
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // The child reports through its exit code only; nothing may
+        // unwind into the test runner it was forked from.
+        try {
+            rlimit lim{};
+            if (::getrlimit(RLIMIT_NPROC, &lim) != 0)
+                ::_exit(2);
+            lim.rlim_cur = 0;
+            if (::setrlimit(RLIMIT_NPROC, &lim) != 0)
+                ::_exit(2);
+            const std::thread::id caller = std::this_thread::get_id();
+            std::vector<int> calls(8, 0);
+            bool elsewhere = false;
+            fanOut(calls.size(), 4, [&](std::size_t i) {
+                ++calls[i];
+                elsewhere |= std::this_thread::get_id() != caller;
+            });
+            const bool once =
+                std::all_of(calls.begin(), calls.end(),
+                            [](int c) { return c == 1; });
+            ::_exit(once && !elsewhere ? 0 : 1);
+        } catch (...) {
+            ::_exit(3);
+        }
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: an index ran twice, never or off the caller; "
+           "2: setrlimit failed; 3: fanOut threw";
 }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the canonical config fingerprint, the memoized solve
- * cache (LRU bounds, want-all semantics, concurrency, on-disk record
- * validation) and the batch solve API: byte-identity with serial
- * solves, the same results, stats and cache state at any jobs, and
- * per-request errors.
+ * cache (LRU bounds, concurrency, on-disk record validation, the
+ * pinned record format) and the batch solve API: byte-identity with
+ * serial solves, the same results, stats and cache state at any jobs,
+ * and per-request errors.
  */
 
 #include <gtest/gtest.h>
@@ -106,9 +106,6 @@ expectIdenticalResult(const SolveResult &a, const SolveResult &b)
     ASSERT_EQ(a.filtered.size(), b.filtered.size());
     for (std::size_t i = 0; i < a.filtered.size(); ++i)
         expectIdenticalSolution(a.filtered[i], b.filtered[i]);
-    ASSERT_EQ(a.all.size(), b.all.size());
-    for (std::size_t i = 0; i < a.all.size(); ++i)
-        expectIdenticalSolution(a.all[i], b.all[i]);
     EXPECT_EQ(a.stats.partitionsEnumerated,
               b.stats.partitionsEnumerated);
     EXPECT_EQ(a.stats.solutionsBuilt, b.stats.solutionsBuilt);
@@ -187,9 +184,6 @@ expectSameResult(const SolveResult &a, const SolveResult &b)
     ASSERT_EQ(a.filtered.size(), b.filtered.size());
     for (std::size_t i = 0; i < a.filtered.size(); ++i)
         expectSameSolution(a.filtered[i], b.filtered[i]);
-    ASSERT_EQ(a.all.size(), b.all.size());
-    for (std::size_t i = 0; i < a.all.size(); ++i)
-        expectSameSolution(a.all[i], b.all[i]);
     const EngineStats &x = a.stats, &y = b.stats;
     EXPECT_EQ(x.partitionsEnumerated, y.partitionsEnumerated);
     EXPECT_EQ(x.partitionsInfeasible, y.partitionsInfeasible);
@@ -207,8 +201,8 @@ expectSameResult(const SolveResult &a, const SolveResult &b)
 /**
  * A SolveResult in which every persisted field holds its own value
  * (bools alternate), so a field the cache record drops, swaps or
- * rounds cannot round-trip.  Pinned: tests/data/cache_v1_all_fields.rec
- * holds the record the cactid-cache-v1 encoder writes for it.
+ * rounds cannot round-trip.  Pinned: tests/data/cache_v2_all_fields.rec
+ * holds the record the cactid-cache-v2 encoder writes for it.
  */
 SolveResult
 distinctResult()
@@ -255,7 +249,6 @@ distinctResult()
     SolveResult r;
     r.best = solution();
     r.filtered = {solution(), solution()};
-    r.all = {solution(), solution(), solution()};
     EngineStats &st = r.stats;
     st.partitionsEnumerated = i();
     st.partitionsInfeasible = i();
@@ -393,13 +386,13 @@ TEST(SolveCache, MissThenHitRoundTrips)
     const ConfigFingerprint fp = keyFingerprint(key);
 
     SolveResult out;
-    EXPECT_FALSE(cache.lookup(fp, key, false, out));
+    EXPECT_FALSE(cache.lookup(fp, key, out));
     EXPECT_EQ(cache.counters().misses, 1u);
 
     const SolveResult res = solve(cfg);
-    cache.insert(fp, key, res, true);
+    cache.insert(fp, key, res);
     SolveResult hit;
-    ASSERT_TRUE(cache.lookup(fp, key, true, hit));
+    ASSERT_TRUE(cache.lookup(fp, key, hit));
     expectIdenticalResult(hit, res);
 
     const SolveCacheCounters c = cache.counters();
@@ -407,36 +400,6 @@ TEST(SolveCache, MissThenHitRoundTrips)
     EXPECT_EQ(c.inserts, 1u);
     EXPECT_EQ(c.entries, 1u);
     EXPECT_GT(c.bytes, 0u);
-}
-
-TEST(SolveCache, WantAllSemantics)
-{
-    SolveCache cache;
-    const MemoryConfig cfg = sramCache();
-    const std::string key = canonicalKey(cfg);
-    const ConfigFingerprint fp = keyFingerprint(key);
-
-    // A streaming entry cannot serve a collect-all request.
-    SolverOptions stream;
-    stream.collectAll = false;
-    const SolveResult streamed = solve(cfg, stream);
-    ASSERT_TRUE(streamed.all.empty());
-    cache.insert(fp, key, streamed, false);
-    SolveResult out;
-    EXPECT_FALSE(cache.lookup(fp, key, true, out));
-    EXPECT_TRUE(cache.lookup(fp, key, false, out));
-
-    // A collect-all entry serves both, with `all` stripped for the
-    // streaming request — matching a direct streaming solve.
-    const SolveResult full = solve(cfg);
-    ASSERT_FALSE(full.all.empty());
-    cache.insert(fp, key, full, true);
-    SolveResult all_hit, stream_hit;
-    ASSERT_TRUE(cache.lookup(fp, key, true, all_hit));
-    EXPECT_EQ(all_hit.all.size(), full.all.size());
-    ASSERT_TRUE(cache.lookup(fp, key, false, stream_hit));
-    EXPECT_TRUE(stream_hit.all.empty());
-    expectIdenticalSolution(stream_hit.best, streamed.best);
 }
 
 TEST(SolveCache, LruEntryBoundEvictsOldest)
@@ -453,10 +416,7 @@ TEST(SolveCache, LruEntryBoundEvictsOldest)
     for (const MemoryConfig &cfg : cfgs) {
         keys.push_back(canonicalKey(cfg));
         fps.push_back(keyFingerprint(keys.back()));
-        SolverOptions stream;
-        stream.collectAll = false;
-        cache.insert(fps.back(), keys.back(), solve(cfg, stream),
-                     false);
+        cache.insert(fps.back(), keys.back(), solve(cfg));
     }
 
     const SolveCacheCounters c = cache.counters();
@@ -464,9 +424,9 @@ TEST(SolveCache, LruEntryBoundEvictsOldest)
     EXPECT_GE(c.evictions, 1u);
 
     SolveResult out;
-    EXPECT_FALSE(cache.lookup(fps[0], keys[0], false, out)); // evicted
-    EXPECT_TRUE(cache.lookup(fps[1], keys[1], false, out));
-    EXPECT_TRUE(cache.lookup(fps[2], keys[2], false, out));
+    EXPECT_FALSE(cache.lookup(fps[0], keys[0], out)); // evicted
+    EXPECT_TRUE(cache.lookup(fps[1], keys[1], out));
+    EXPECT_TRUE(cache.lookup(fps[2], keys[2], out));
 }
 
 TEST(SolveCache, ByteBoundKeepsAtLeastOneEntry)
@@ -479,14 +439,12 @@ TEST(SolveCache, ByteBoundKeepsAtLeastOneEntry)
     const MemoryConfig cfg = sramCache();
     const std::string key = canonicalKey(cfg);
     const ConfigFingerprint fp = keyFingerprint(key);
-    SolverOptions stream;
-    stream.collectAll = false;
-    cache.insert(fp, key, solve(cfg, stream), false);
+    cache.insert(fp, key, solve(cfg));
 
     // An over-budget sole entry stays resident (the cache must still
     // be able to serve the config it just solved).
     SolveResult out;
-    EXPECT_TRUE(cache.lookup(fp, key, false, out));
+    EXPECT_TRUE(cache.lookup(fp, key, out));
     EXPECT_EQ(cache.counters().entries, 1u);
 }
 
@@ -498,12 +456,10 @@ TEST(SolveCache, ConcurrentHitsAreRaceFree)
     std::vector<std::string> keys;
     std::vector<ConfigFingerprint> fps;
     std::vector<SolveResult> results;
-    SolverOptions stream;
-    stream.collectAll = false;
     for (const MemoryConfig &cfg : cfgs) {
         keys.push_back(canonicalKey(cfg));
         fps.push_back(keyFingerprint(keys.back()));
-        results.push_back(solve(cfg, stream));
+        results.push_back(solve(cfg));
     }
 
     constexpr int kThreads = 8;
@@ -515,14 +471,13 @@ TEST(SolveCache, ConcurrentHitsAreRaceFree)
             for (int i = 0; i < kIters; ++i) {
                 const std::size_t which = (t + i) % cfgs.size();
                 SolveResult out;
-                if (cache.lookup(fps[which], keys[which], false,
-                                 out)) {
+                if (cache.lookup(fps[which], keys[which], out)) {
                     if (out.best.accessTime !=
                         results[which].best.accessTime)
                         ++mismatches;
                 } else {
                     cache.insert(fps[which], keys[which],
-                                 results[which], false);
+                                 results[which]);
                 }
             }
         });
@@ -563,19 +518,19 @@ TEST(SolveCacheDisk, RecordRoundTripsAcrossProcesses)
     const DiskFixture fx("sc_roundtrip");
     {
         SolveCache writer(fx.config("stamp-a"));
-        writer.insert(fx.fp, fx.key, fx.res, true);
+        writer.insert(fx.fp, fx.key, fx.res);
         EXPECT_EQ(writer.counters().diskWrites, 1u);
     }
     SolveCache reader(fx.config("stamp-a")); // fresh "process"
     SolveResult out;
-    ASSERT_TRUE(reader.lookup(fx.fp, fx.key, true, out));
+    ASSERT_TRUE(reader.lookup(fx.fp, fx.key, out));
     expectIdenticalResult(out, fx.res);
     const SolveCacheCounters c = reader.counters();
     EXPECT_EQ(c.diskHits, 1u);
     EXPECT_EQ(c.hits, 1u);
 
     // Now resident in memory: the second hit needs no disk.
-    ASSERT_TRUE(reader.lookup(fx.fp, fx.key, true, out));
+    ASSERT_TRUE(reader.lookup(fx.fp, fx.key, out));
     EXPECT_EQ(reader.counters().diskHits, 1u);
 }
 
@@ -584,7 +539,7 @@ TEST(SolveCacheDisk, StaleBuildStampIsRejectedWithWarning)
     const DiskFixture fx("sc_stale");
     {
         SolveCache writer(fx.config("stamp-old"));
-        writer.insert(fx.fp, fx.key, fx.res, true);
+        writer.insert(fx.fp, fx.key, fx.res);
     }
     std::vector<std::string> warnings;
     SolveCacheConfig cc = fx.config("stamp-new");
@@ -593,7 +548,7 @@ TEST(SolveCacheDisk, StaleBuildStampIsRejectedWithWarning)
     };
     SolveCache reader(cc);
     SolveResult out;
-    EXPECT_FALSE(reader.lookup(fx.fp, fx.key, true, out));
+    EXPECT_FALSE(reader.lookup(fx.fp, fx.key, out));
     EXPECT_EQ(reader.counters().rejected, 1u);
     ASSERT_EQ(warnings.size(), 1u);
     EXPECT_NE(warnings[0].find("build fingerprint mismatch"),
@@ -604,7 +559,7 @@ TEST(SolveCacheDisk, TornRecordIsRejected)
 {
     const DiskFixture fx("sc_torn");
     SolveCache writer(fx.config("stamp-a"));
-    writer.insert(fx.fp, fx.key, fx.res, true);
+    writer.insert(fx.fp, fx.key, fx.res);
 
     std::string bytes, err;
     ASSERT_TRUE(
@@ -620,7 +575,7 @@ TEST(SolveCacheDisk, TornRecordIsRejected)
     };
     SolveCache reader(cc);
     SolveResult out;
-    EXPECT_FALSE(reader.lookup(fx.fp, fx.key, true, out));
+    EXPECT_FALSE(reader.lookup(fx.fp, fx.key, out));
     EXPECT_EQ(reader.counters().rejected, 1u);
     EXPECT_EQ(warnings.size(), 1u);
 }
@@ -629,7 +584,7 @@ TEST(SolveCacheDisk, CorruptPayloadFailsCrc)
 {
     const DiskFixture fx("sc_corrupt");
     SolveCache writer(fx.config("stamp-a"));
-    writer.insert(fx.fp, fx.key, fx.res, true);
+    writer.insert(fx.fp, fx.key, fx.res);
 
     std::string bytes, err;
     ASSERT_TRUE(
@@ -641,7 +596,7 @@ TEST(SolveCacheDisk, CorruptPayloadFailsCrc)
 
     SolveCache reader(fx.config("stamp-a"));
     SolveResult out;
-    EXPECT_FALSE(reader.lookup(fx.fp, fx.key, true, out));
+    EXPECT_FALSE(reader.lookup(fx.fp, fx.key, out));
     EXPECT_EQ(reader.counters().rejected, 1u);
 }
 
@@ -649,14 +604,13 @@ TEST(SolveCacheDisk, AlienRecordAtWrongPathIsRejected)
 {
     const DiskFixture fx("sc_alien");
     SolveCache writer(fx.config("stamp-a"));
-    writer.insert(fx.fp, fx.key, fx.res, true);
+    writer.insert(fx.fp, fx.key, fx.res);
 
     // Drop a record for a DIFFERENT config at this config's path, as
     // if a file had been renamed or a fingerprint collided.
     const MemoryConfig other = lpDramCache();
     const std::string other_key = canonicalKey(other);
-    const std::string alien =
-        writer.encodeRecord(other_key, solve(other), true);
+    const std::string alien = writer.encodeRecord(other_key, solve(other));
     std::string err;
     ASSERT_TRUE(
         util::writeFileAtomic(writer.recordPath(fx.fp), alien, &err));
@@ -668,7 +622,7 @@ TEST(SolveCacheDisk, AlienRecordAtWrongPathIsRejected)
     };
     SolveCache reader(cc);
     SolveResult out;
-    EXPECT_FALSE(reader.lookup(fx.fp, fx.key, true, out));
+    EXPECT_FALSE(reader.lookup(fx.fp, fx.key, out));
     EXPECT_EQ(reader.counters().rejected, 1u);
     ASSERT_EQ(warnings.size(), 1u);
     EXPECT_NE(warnings[0].find("alien"), std::string::npos);
@@ -678,19 +632,16 @@ TEST(SolveCacheDisk, DecodeRecordReportsDefects)
 {
     const DiskFixture fx("sc_decode");
     SolveCache cache(fx.config("stamp-a"));
-    const std::string rec = cache.encodeRecord(fx.key, fx.res, true);
+    const std::string rec = cache.encodeRecord(fx.key, fx.res);
 
     SolveResult out;
-    bool has_all = false;
     std::string why;
-    EXPECT_EQ(cache.decodeRecord(rec, fx.fp, fx.key, out, has_all,
-                                 &why),
+    EXPECT_EQ(cache.decodeRecord(rec, fx.fp, fx.key, out, &why),
               SolveCache::Load::Loaded);
-    EXPECT_TRUE(has_all);
     expectIdenticalResult(out, fx.res);
 
     EXPECT_EQ(cache.decodeRecord("not a record", fx.fp, fx.key, out,
-                                 has_all, &why),
+                                 &why),
               SolveCache::Load::Rejected);
     EXPECT_FALSE(why.empty());
 }
@@ -701,7 +652,7 @@ TEST(SolveCacheDisk, HostileListCountIsRejectedAndResolved)
     std::string path;
     {
         SolveCache writer(fx.config("stamp-a"));
-        writer.insert(fx.fp, fx.key, fx.res, true);
+        writer.insert(fx.fp, fx.key, fx.res);
         path = writer.recordPath(fx.fp);
     }
     // A record whose crc is valid but whose list count is absurd:
@@ -742,45 +693,90 @@ TEST(SolveCacheFormat, EveryFieldRoundTrips)
     cc.buildStamp = "fixture-stamp";
     const SolveCache cache(cc);
     const SolveResult want = distinctResult();
-    for (const bool has_all : {true, false}) {
-        SolveResult out;
-        bool got_all = !has_all;
-        std::string why;
-        ASSERT_EQ(cache.decodeRecord(
-                      cache.encodeRecord(kFixtureKey, want, has_all),
-                      keyFingerprint(kFixtureKey), kFixtureKey, out,
-                      got_all, &why),
-                  SolveCache::Load::Loaded)
-            << why;
-        EXPECT_EQ(got_all, has_all);
-        expectSameResult(out, want);
-    }
+    SolveResult out;
+    std::string why;
+    ASSERT_EQ(cache.decodeRecord(cache.encodeRecord(kFixtureKey, want),
+                                 keyFingerprint(kFixtureKey), kFixtureKey,
+                                 out, &why),
+              SolveCache::Load::Loaded)
+        << why;
+    expectSameResult(out, want);
 }
 
-TEST(SolveCacheFormat, PinnedV1RecordLoadsAndReencodesIdentically)
+/** A pinned record under tests/data. */
+std::string
+pinnedRecord(const std::string &name)
 {
-    // Written by the cactid-cache-v1 encoder before the record codec
-    // was shared with the checkpoint store; the format must not move.
-    std::string pinned, err;
-    ASSERT_TRUE(util::readFile(
-        std::string(CACTID_TEST_DATA_DIR) + "/cache_v1_all_fields.rec",
-        pinned, &err))
+    std::string bytes, err;
+    EXPECT_TRUE(util::readFile(std::string(CACTID_TEST_DATA_DIR) + "/" +
+                                   name,
+                               bytes, &err))
         << err;
+    return bytes;
+}
+
+TEST(SolveCacheFormat, PinnedV2RecordLoadsAndReencodesIdentically)
+{
+    // Written by the cactid-cache-v2 encoder for distinctResult(); the
+    // format must not move.
+    const std::string pinned = pinnedRecord("cache_v2_all_fields.rec");
+    ASSERT_FALSE(pinned.empty());
     SolveCacheConfig cc;
     cc.buildStamp = "fixture-stamp";
     const SolveCache cache(cc);
     SolveResult out;
-    bool has_all = false;
     std::string why;
     ASSERT_EQ(cache.decodeRecord(pinned, keyFingerprint(kFixtureKey),
-                                 kFixtureKey, out, has_all, &why),
+                                 kFixtureKey, out, &why),
               SolveCache::Load::Loaded)
         << why;
-    EXPECT_TRUE(has_all);
     expectSameResult(out, distinctResult());
-    EXPECT_EQ(cache.encodeRecord(kFixtureKey, out, has_all), pinned);
-    EXPECT_EQ(cache.encodeRecord(kFixtureKey, distinctResult(), true),
-              pinned);
+    EXPECT_EQ(cache.encodeRecord(kFixtureKey, out), pinned);
+    EXPECT_EQ(cache.encodeRecord(kFixtureKey, distinctResult()), pinned);
+}
+
+TEST(SolveCacheFormat, PinnedV1RecordIsRejected)
+{
+    // The cactid-cache-v1 record (with the retired `hasall` and `all`
+    // lines) no longer decodes: one line says why.
+    const std::string v1 = pinnedRecord("cache_v1_all_fields.rec");
+    ASSERT_EQ(v1.rfind("cactid-cache-v1\n", 0), 0u);
+    SolveCacheConfig cc;
+    cc.buildStamp = "fixture-stamp";
+    const SolveCache cache(cc);
+    SolveResult out;
+    std::string why;
+    EXPECT_EQ(cache.decodeRecord(v1, keyFingerprint(kFixtureKey),
+                                 kFixtureKey, out, &why),
+              SolveCache::Load::Rejected);
+    EXPECT_EQ(why, "unrecognized version header");
+
+    // Left in a cache directory at a config's record path, it counts
+    // as rejected, the config is solved again, and the v2 record
+    // replaces it.
+    const DiskFixture fx("sc_v1");
+    std::vector<std::string> warnings;
+    cc = fx.config("fixture-stamp");
+    cc.onWarn = [&](const std::string &msg) { warnings.push_back(msg); };
+    SolveCache reader(cc);
+    std::string err;
+    ASSERT_TRUE(util::writeFileAtomic(reader.recordPath(fx.fp), v1, &err))
+        << err;
+    SolverOptions opts;
+    opts.cache = &reader;
+    expectIdenticalResult(SolverEngine(opts).run(fx.cfg), fx.res);
+    const SolveCacheCounters c = reader.counters();
+    EXPECT_EQ(c.rejected, 1u);
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.inserts, 1u);
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_EQ(warnings[0].find('\n'), std::string::npos);
+    EXPECT_NE(warnings[0].find("unrecognized version header"),
+              std::string::npos)
+        << warnings[0];
+    std::string rewritten;
+    ASSERT_TRUE(util::readFile(reader.recordPath(fx.fp), rewritten, &err));
+    EXPECT_EQ(rewritten.rfind("cactid-cache-v2\n", 0), 0u);
 }
 
 // --- Registry + global install --------------------------------------
@@ -932,7 +928,7 @@ std::pair<std::string, std::string>
 runError(const MemoryConfig &cfg)
 {
     try {
-        (void)SolverEngine(SolverOptions{1, true}).run(cfg);
+        (void)SolverEngine(SolverOptions{1}).run(cfg);
     } catch (const std::exception &e) {
         return {typeid(e).name(), e.what()};
     }
@@ -957,7 +953,7 @@ TEST(SolveBatch, SameResultsStatsAndEvictionsAtAnyJobs)
     std::vector<MemoryConfig> reversed(batch.rbegin(), batch.rend());
     std::vector<SolveResult> want;
     for (const MemoryConfig &cfg : batch)
-        want.push_back(SolverEngine(SolverOptions{1, true}).run(cfg));
+        want.push_back(SolverEngine(SolverOptions{1}).run(cfg));
 
     struct Run {
         std::vector<SolveResult> cold, warm;
@@ -983,7 +979,7 @@ TEST(SolveBatch, SameResultsStatsAndEvictionsAtAnyJobs)
             const std::string key = canonicalKey(cfg);
             SolveResult ignored;
             r.resident.push_back(
-                cache.lookup(keyFingerprint(key), key, true, ignored));
+                cache.lookup(keyFingerprint(key), key, ignored));
         }
         runs.push_back(std::move(r));
     }
@@ -1030,7 +1026,7 @@ TEST(SolveBatch, FirstFailingRequestThrowsTheSameAtAnyJobs)
             SCOPED_TRACE("at " + std::to_string(at) + " jobs " +
                          std::to_string(jobs));
             try {
-                (void)SolverEngine(SolverOptions{jobs, true})
+                (void)SolverEngine(SolverOptions{jobs})
                     .solveBatch(batch);
                 ADD_FAILURE() << "the batch did not throw";
             } catch (const InfeasibleConfig &e) {
@@ -1046,7 +1042,7 @@ TEST(SolveBatch, FirstFailingRequestThrowsTheSameAtAnyJobs)
     const std::pair<std::string, std::string> weight = runError(bad_weight);
     for (const int jobs : {1, 2, 8}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
-        const SolverEngine engine(SolverOptions{jobs, true});
+        const SolverEngine engine(SolverOptions{jobs});
         try {
             (void)engine.solveBatch(
                 {commDramChip(), infeasibleCache(), sramCache(), bad_weight});
@@ -1092,7 +1088,7 @@ TEST(SolveBatch, ErrorOutParamFailsOnlyTheFailingRequests)
             SCOPED_TRACE("request " + std::to_string(i));
             SolveResult res;
             try {
-                res = SolverEngine(SolverOptions{1, true}).run(batch[i]);
+                res = SolverEngine(SolverOptions{1}).run(batch[i]);
             } catch (const std::exception &) {
                 ASSERT_TRUE(errors[i]);
                 EXPECT_EQ(errorOf(errors[i]), runError(batch[i]));

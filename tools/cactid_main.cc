@@ -134,7 +134,6 @@ commandLine(CliArgs &a)
         "  technology tag_technology feature_nm temperature_k sleep_tx\n"
         "  ecc max_area max_acctime repeater_derate weight_* io_bits\n"
         "  burst_length prefetch_width page_bytes address_bits jobs\n"
-        "  collect_all\n"
         "\nexit codes: 0 success; 2 usage, configuration error or no "
         "feasible\norganization; 3 internal error\n",
         &a.configPath};

@@ -140,7 +140,6 @@ serveInProcess(const CliArgs &args)
 
     tools::ServeOptions opts;
     opts.solver.jobs = args.jobs;
-    opts.solver.collectAll = false; // responses never need `all`
     if (args.shardIndex >= 0) {
         opts.shardIndex = args.shardIndex;
         opts.shardCount = args.shardCount;

@@ -193,8 +193,6 @@ applyConfigKey(MemoryConfig &cfg, SolverOptions &eng,
         eng.jobs = integer();
         if (eng.jobs < 0)
             bad("an integer >= 0");
-    } else if (key == "collect_all") {
-        eng.collectAll = parseBool(value);
     } else {
         throw std::invalid_argument("unknown key '" + key + "'");
     }

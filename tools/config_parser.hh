@@ -40,11 +40,10 @@ namespace cactid::tools {
  *   weight_interleave / weight_acctime / weight_area
  *   io_bits, burst_length, prefetch_width, page_bytes  (main memory)
  *   jobs              solver worker threads (>= 0; 0 = hardware concurrency)
- *   collect_all       true | false (keep SolveResult::all)
  *
- * The engine keys (jobs, collect_all) land in @p opts when given; with
- * opts == nullptr they are parsed and discarded, so a config written
- * for the parallel engine still loads everywhere.
+ * The engine key (jobs) lands in @p opts when given; with opts ==
+ * nullptr it is parsed and discarded, so a config written for the
+ * parallel engine still loads everywhere.
  *
  * @throws std::invalid_argument on unknown keys or malformed values,
  *         naming the line.
@@ -55,8 +54,8 @@ MemoryConfig parseConfig(std::istream &in,
 /**
  * Apply one `key = value` setting, the unit config-file lines and
  * cactid-serve request members are both made of: @p key is lower-cased
- * and @p value trimmed, then parsed as parseConfig lists them (engine
- * keys land in @p opts).
+ * and @p value trimmed, then parsed as parseConfig lists them (the
+ * engine key lands in @p opts).
  *
  * @throws std::invalid_argument naming the key on an unknown key or a
  *         malformed value.

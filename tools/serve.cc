@@ -112,8 +112,8 @@ parseServeRequest(const std::string &line, std::size_t index)
         req.error = "request needs a \"config\" object";
         return req;
     }
-    // Engine keys (jobs, collect_all) parse but are discarded:
-    // execution policy belongs to the server, not the request.
+    // The engine key (jobs) parses but is discarded: execution
+    // policy belongs to the server, not the request.
     SolverOptions discard;
     try {
         for (const auto &[key, value] : config->object) {

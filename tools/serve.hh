@@ -12,9 +12,9 @@
  * the cactid config-file parser (tools/config_parser.hh).  Each
  * member goes through applyConfigKey as one key and one value (a
  * string, number or boolean), never spliced into config text, so a
- * newline or `#` inside a member is just a bad value.  Engine keys
- * (jobs, collect_all) are ignored so a request cannot change how the
- * server executes.  "id" is optional and echoed back verbatim.
+ * newline or `#` inside a member is just a bad value.  The engine key
+ * (jobs) is ignored so a request cannot change how the server
+ * executes.  "id" is optional and echoed back verbatim.
  *
  * One response per request, in request order, rendered with the
  * locale-proof fmtDouble so equal solves always produce equal bytes:
@@ -75,7 +75,7 @@ ServeRequest parseServeRequest(const std::string &line,
 
 /** How to execute a request stream. */
 struct ServeOptions {
-    SolverOptions solver; ///< jobs / collectAll / cache for the engine
+    SolverOptions solver; ///< jobs / cache for the engine
     int shardIndex = 0;
     int shardCount = 1; ///< serve request i iff i % count == index
 };
