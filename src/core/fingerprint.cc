@@ -152,10 +152,4 @@ canonicalShareKey(const MemoryConfig &cfg)
     return renderKey(cfg, OptimizationWeights{0, 0, 0, 0, 0, 0});
 }
 
-ConfigFingerprint
-shareFingerprint(const MemoryConfig &cfg)
-{
-    return keyFingerprint(canonicalShareKey(cfg));
-}
-
 } // namespace cactid

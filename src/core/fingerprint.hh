@@ -80,9 +80,6 @@ ConfigFingerprint configFingerprint(const MemoryConfig &cfg);
  */
 std::string canonicalShareKey(const MemoryConfig &cfg);
 
-/** Fingerprint of the share key (enumeration-sharing group id). */
-ConfigFingerprint shareFingerprint(const MemoryConfig &cfg);
-
 } // namespace cactid
 
 #endif // CACTID_CORE_FINGERPRINT_HH

@@ -91,14 +91,6 @@ SolveCache::SolveCache(SolveCacheConfig cfg) : cfg_(std::move(cfg))
 {
     stamp_ = cfg_.buildStamp.empty() ? defaultBuildStamp()
                                      : cfg_.buildStamp;
-    const int n_shards = cfg_.shards < 1 ? 1 : cfg_.shards;
-    shards_.reserve(static_cast<std::size_t>(n_shards));
-    for (int i = 0; i < n_shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-    const std::size_t n = shards_.size();
-    maxEntriesPerShard_ =
-        cfg_.maxEntries / n > 0 ? cfg_.maxEntries / n : 1;
-    maxBytesPerShard_ = cfg_.maxBytes / n > 0 ? cfg_.maxBytes / n : 1;
     if (!cfg_.diskDir.empty())
         ::mkdir(cfg_.diskDir.c_str(), 0755); // EEXIST is fine
 }
@@ -113,24 +105,17 @@ SolveCache::defaultBuildStamp()
     return util::hex16(util::fnv1a64(s));
 }
 
-SolveCache::Shard &
-SolveCache::shardFor(const ConfigFingerprint &fp)
-{
-    return *shards_[(fp.lo ^ fp.hi) % shards_.size()];
-}
-
 bool
 SolveCache::lookup(const ConfigFingerprint &fp, const std::string &key,
                    SolveResult &out)
 {
-    Shard &sh = shardFor(fp);
     {
-        std::lock_guard<std::mutex> lock(sh.mtx);
-        const auto it = sh.index.find(fp.lo);
-        if (it != sh.index.end()) {
+        std::lock_guard<std::mutex> lock(mtx_);
+        const auto it = index_.find(fp.lo);
+        if (it != index_.end()) {
             Entry &e = *it->second;
             if (e.fp == fp && e.key == key) {
-                sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+                lru_.splice(lru_.begin(), lru_, it->second);
                 out = e.res;
                 hits_.fetch_add(1, std::memory_order_relaxed);
                 return true;
@@ -162,41 +147,39 @@ SolveCache::diskLookup(const ConfigFingerprint &fp,
         return false;
     }
     {
-        Shard &sh = shardFor(fp);
-        std::lock_guard<std::mutex> lock(sh.mtx);
-        storeLocked(sh, fp, key, res);
+        std::lock_guard<std::mutex> lock(mtx_);
+        storeLocked(fp, key, res);
     }
     out = std::move(res);
     return true;
 }
 
 void
-SolveCache::storeLocked(Shard &sh, const ConfigFingerprint &fp,
+SolveCache::storeLocked(const ConfigFingerprint &fp,
                         const std::string &key, const SolveResult &res)
 {
-    const auto it = sh.index.find(fp.lo);
-    if (it != sh.index.end()) {
-        sh.bytes -= it->second->bytes;
-        sh.lru.erase(it->second);
-        sh.index.erase(it);
+    const auto it = index_.find(fp.lo);
+    if (it != index_.end()) {
+        bytes_ -= it->second->bytes;
+        lru_.erase(it->second);
+        index_.erase(it);
     }
     Entry e;
     e.fp = fp;
     e.key = key;
     e.res = res;
     e.bytes = entryBytes(key, res);
-    sh.bytes += e.bytes;
-    sh.lru.push_front(std::move(e));
-    sh.index[fp.lo] = sh.lru.begin();
-    // Enforce the per-shard bounds, never evicting the sole entry (a
-    // single oversized result is still worth memoizing).
-    while (sh.lru.size() > 1 &&
-           (sh.lru.size() > maxEntriesPerShard_ ||
-            sh.bytes > maxBytesPerShard_)) {
-        const Entry &victim = sh.lru.back();
-        sh.bytes -= victim.bytes;
-        sh.index.erase(victim.fp.lo);
-        sh.lru.pop_back();
+    bytes_ += e.bytes;
+    lru_.push_front(std::move(e));
+    index_[fp.lo] = lru_.begin();
+    // Enforce the bounds, never evicting the sole entry (a single
+    // oversized result is still worth memoizing).
+    while (lru_.size() > 1 &&
+           (lru_.size() > cfg_.maxEntries || bytes_ > cfg_.maxBytes)) {
+        const Entry &victim = lru_.back();
+        bytes_ -= victim.bytes;
+        index_.erase(victim.fp.lo);
+        lru_.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
     }
 }
@@ -206,9 +189,8 @@ SolveCache::insert(const ConfigFingerprint &fp, const std::string &key,
                    const SolveResult &res)
 {
     {
-        Shard &sh = shardFor(fp);
-        std::lock_guard<std::mutex> lock(sh.mtx);
-        storeLocked(sh, fp, key, res);
+        std::lock_guard<std::mutex> lock(mtx_);
+        storeLocked(fp, key, res);
     }
     inserts_.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.diskDir.empty())
@@ -232,11 +214,9 @@ SolveCache::counters() const
     c.diskHits = diskHits_.load(std::memory_order_relaxed);
     c.diskWrites = diskWrites_.load(std::memory_order_relaxed);
     c.rejected = rejected_.load(std::memory_order_relaxed);
-    for (const auto &sh : shards_) {
-        std::lock_guard<std::mutex> lock(sh->mtx);
-        c.entries += sh->lru.size();
-        c.bytes += sh->bytes;
-    }
+    std::lock_guard<std::mutex> lock(mtx_);
+    c.entries = lru_.size();
+    c.bytes = bytes_;
     return c;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Memoized solve cache: sharded in-memory LRU over canonical config
+ * Memoized solve cache: one in-memory LRU over canonical config
  * fingerprints, with an optional on-disk store so cold processes and
  * sweep shards start warm.
  *
@@ -13,9 +13,10 @@
  * the solve — the engine's jobs=N == jobs=1 determinism guarantee is
  * what makes memoization sound in the first place.
  *
- * Concurrency: the cache is sharded by fingerprint; every shard has
- * its own lock and LRU list, and all counters are atomics, so many
- * engine threads may hit one cache concurrently (TSan-tested).
+ * Concurrency: one lock guards the LRU list and its index, and all
+ * counters are atomics, so engine threads may share one cache
+ * (TSan-tested).  solveBatch does every lookup before its fan-out and
+ * every insert after the join, so the lock is uncontended there.
  *
  * Durability: with `diskDir` set, every insert also writes one
  * `sc-<fingerprint>.v1` record ("cactid-cache-v2" in the checksummed
@@ -36,11 +37,9 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/fingerprint.hh"
 #include "core/result.hh"
@@ -53,14 +52,11 @@ class Registry;
 
 /** Capacity bounds and durability knobs of a SolveCache. */
 struct SolveCacheConfig {
-    /** Entry-count bound over all shards (>= 1 enforced per shard). */
+    /** Entry-count bound over the whole cache (>= 1 entry kept). */
     std::size_t maxEntries = 4096;
 
-    /** Approximate byte bound over all shards. */
+    /** Approximate byte bound over the whole cache (>= 1 entry kept). */
     std::size_t maxBytes = std::size_t(256) << 20;
-
-    /** Lock shards (clamped to >= 1); fingerprints spread evenly. */
-    int shards = 8;
 
     /** On-disk store directory; empty = in-memory only. */
     std::string diskDir;
@@ -163,17 +159,7 @@ private:
         std::size_t bytes = 0;
     };
 
-    struct Shard {
-        std::mutex mtx;
-        std::list<Entry> lru; ///< front = most recently used
-        std::unordered_map<std::uint64_t,
-                           std::list<Entry>::iterator>
-            index; ///< fp.lo -> entry (fp.hi + key checked on hit)
-        std::size_t bytes = 0;
-    };
-
-    Shard &shardFor(const ConfigFingerprint &fp);
-    void storeLocked(Shard &sh, const ConfigFingerprint &fp,
+    void storeLocked(const ConfigFingerprint &fp,
                      const std::string &key, const SolveResult &res);
     bool diskLookup(const ConfigFingerprint &fp,
                     const std::string &key, SolveResult &out);
@@ -181,9 +167,12 @@ private:
 
     SolveCacheConfig cfg_;
     std::string stamp_;
-    std::size_t maxEntriesPerShard_;
-    std::size_t maxBytesPerShard_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+
+    mutable std::mutex mtx_; ///< guards lru_, index_ and bytes_
+    std::list<Entry> lru_;   ///< front = most recently used
+    std::unordered_map<std::uint64_t, std::list<Entry>::iterator>
+        index_; ///< fp.lo -> entry (fp.hi + key checked on hit)
+    std::size_t bytes_ = 0;
 
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};

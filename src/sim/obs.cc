@@ -71,25 +71,6 @@ registerLatencyStats(cactid::obs::Registry &r, const LatencyStats &lat)
 }
 
 void
-registerActivityCounts(cactid::obs::Registry &r, const ActivityCounts &a)
-{
-    r.counter("activity.cycles") = a.cycles;
-    r.counter("activity.l1.reads") = a.l1Reads;
-    r.counter("activity.l1.writes") = a.l1Writes;
-    r.counter("activity.l2.reads") = a.l2Reads;
-    r.counter("activity.l2.writes") = a.l2Writes;
-    r.counter("activity.xbar.transfers") = a.xbarTransfers;
-    r.counter("activity.llc.reads") = a.llcReads;
-    r.counter("activity.llc.writes") = a.llcWrites;
-    r.counter("activity.dram.activates") = a.dramActivates;
-    r.counter("activity.dram.reads") = a.dramReads;
-    r.counter("activity.dram.writes") = a.dramWrites;
-    r.counter("activity.dram.bus_bytes") = a.dramBusBytes;
-    r.gauge("activity.dram.powered_down_fraction") =
-        a.poweredDownFraction;
-}
-
-void
 registerPowerBreakdown(cactid::obs::Registry &r, const PowerBreakdown &b)
 {
     r.gauge("power.l1_w") = b.l1Leak + b.l1Dyn;

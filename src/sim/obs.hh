@@ -1,7 +1,7 @@
 /**
  * @file
  * Registry adapters for the simulator: publish SimStats /
- * ActivityCounts / PowerBreakdown under the stable obs naming scheme
+ * LatencyStats / PowerBreakdown under the stable obs naming scheme
  * (see obs/registry.hh).  The solver-side adapter for EngineStats
  * lives with the engine (core/engine_stats.hh); together they put
  * every counter family in the repo behind one dump schema.
@@ -28,10 +28,6 @@ void registerSimStats(cactid::obs::Registry &r, const SimStats &s);
  */
 void registerLatencyStats(cactid::obs::Registry &r,
                           const LatencyStats &lat);
-
-/** activity.* counters from one interval's raw activity. */
-void registerActivityCounts(cactid::obs::Registry &r,
-                            const ActivityCounts &a);
 
 /** power.* gauges (W) from a computed power breakdown. */
 void registerPowerBreakdown(cactid::obs::Registry &r,

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the SolverEngine: parallel/serial determinism across all
- * three cell technologies, stats accounting, equivalence of the
+ * Tests for the SolverEngine: a solve's independence of `jobs` across
+ * all three cell technologies, stats accounting, equivalence of the
  * streaming fold with the enumerate-then-optimize reference path, and
  * the per-solve bank memo's equality with fresh bank builds.
  */
@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <optional>
+#include <string>
 
 #include "core/cache_model.hh"
 #include "core/cacti.hh"
@@ -86,7 +87,9 @@ class EngineDeterminism
 {
 };
 
-TEST_P(EngineDeterminism, ParallelMatchesSerialBitExactly)
+// A single solve runs serially whatever `jobs` says; `jobs` only
+// widens solveBatch's share-group fan-out.
+TEST_P(EngineDeterminism, JobsDoNotChangeTheSolve)
 {
     const MemoryConfig cfg = GetParam();
     const SolveResult serial = solve(cfg, SolverOptions{1});
@@ -105,9 +108,18 @@ TEST_P(EngineDeterminism, ParallelMatchesSerialBitExactly)
     EXPECT_EQ(serial.stats.timePruned, parallel.stats.timePruned);
 }
 
+std::string
+technologyName(const ::testing::TestParamInfo<MemoryConfig> &info)
+{
+    static const char *const names[] = {"SramCache", "LpDramCache",
+                                        "CommDramChip"};
+    return names[info.index];
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTechnologies, EngineDeterminism,
                          ::testing::Values(sramCache(), lpDramCache(),
-                                           commDramChip()));
+                                           commDramChip()),
+                         technologyName);
 
 TEST(Engine, MatchesLegacyEnumerateThenOptimize)
 {

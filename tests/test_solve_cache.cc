@@ -369,11 +369,13 @@ TEST(Fingerprint, ShareKeyIgnoresOnlyWeights)
     b.weights = {1.0, 2.0, 0.5, 0.5, 0.0, 2.0};
     EXPECT_NE(configFingerprint(a), configFingerprint(b));
     EXPECT_EQ(canonicalShareKey(a), canonicalShareKey(b));
-    EXPECT_EQ(shareFingerprint(a), shareFingerprint(b));
+    EXPECT_EQ(keyFingerprint(canonicalShareKey(a)),
+              keyFingerprint(canonicalShareKey(b)));
 
     MemoryConfig c = sramCache();
     c.nBanks = 4;
-    EXPECT_NE(shareFingerprint(a), shareFingerprint(c));
+    EXPECT_NE(keyFingerprint(canonicalShareKey(a)),
+              keyFingerprint(canonicalShareKey(c)));
 }
 
 // --- In-memory cache ------------------------------------------------
@@ -406,7 +408,6 @@ TEST(SolveCache, LruEntryBoundEvictsOldest)
 {
     SolveCacheConfig cc;
     cc.maxEntries = 2;
-    cc.shards = 1;
     SolveCache cache(cc);
 
     const std::vector<MemoryConfig> cfgs = {sramCache(), lpDramCache(),
@@ -429,11 +430,39 @@ TEST(SolveCache, LruEntryBoundEvictsOldest)
     EXPECT_TRUE(cache.lookup(fps[2], keys[2], out));
 }
 
+TEST(SolveCache, EntryBoundCoversTheWholeCache)
+{
+    SolveCacheConfig cc;
+    cc.maxEntries = 4;
+    SolveCache cache(cc);
+
+    // A bound split over 8 lock shards (index (lo ^ hi) % 8) is one
+    // entry per shard at maxEntries = 4; these six capacities hash to
+    // only two shards there, so such a cache keeps two of them.  One
+    // LRU keeps the newest four, wherever they hash.
+    std::vector<std::string> keys;
+    std::vector<ConfigFingerprint> fps;
+    for (const int kib : {16, 32, 64, 1024, 2048, 4096}) {
+        MemoryConfig cfg = sramCache();
+        cfg.capacityBytes = kib * 1024.0;
+        keys.push_back(canonicalKey(cfg));
+        fps.push_back(keyFingerprint(keys.back()));
+        cache.insert(fps.back(), keys.back(), solve(cfg));
+    }
+
+    const SolveCacheCounters c = cache.counters();
+    EXPECT_EQ(c.entries, 4u);
+    EXPECT_EQ(c.evictions, 2u);
+    SolveResult out;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(cache.lookup(fps[i], keys[i], out), i >= 2)
+            << "capacity #" << i;
+}
+
 TEST(SolveCache, ByteBoundKeepsAtLeastOneEntry)
 {
     SolveCacheConfig cc;
     cc.maxBytes = 1; // far below any entry
-    cc.shards = 1;
     SolveCache cache(cc);
 
     const MemoryConfig cfg = sramCache();
@@ -965,7 +994,6 @@ TEST(SolveBatch, SameResultsStatsAndEvictionsAtAnyJobs)
     for (const int jobs : {1, 2, 8}) {
         SolveCacheConfig small;
         small.maxEntries = 3; // six unique solves: three are evicted
-        small.shards = 1;
         SolveCache cache(small);
         SolverOptions opts;
         opts.jobs = jobs;
