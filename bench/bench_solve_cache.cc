@@ -11,8 +11,8 @@
  *    (bit-identical results required, for jobs 1 and 4),
  *  - the batch dedup/share ratios on a sweep with duplicates and
  *    weight-only variants,
- *  - the pinned bench/golden study sweep run with the cache installed
- *    cold and then warm (the exports must stay byte-identical to the
+ *  - the pinned bench/golden study sweep run through one cache, cold
+ *    and then warm (the exports must stay byte-identical to the
  *    goldens — a cached sweep may never change a byte).
  *
  * Results land in BENCH_solve_cache.json.
@@ -154,13 +154,14 @@ stripBuildLines(const std::string &s)
     return out;
 }
 
-/** The pinned bench/golden sweep, with whatever cache is installed. */
+/** The pinned bench/golden sweep, its LLC solves memoized in @p cache. */
 std::string
-goldenSweepJson()
+goldenSweepJson(SolveCache &cache)
 {
-    // Study's LLC solves run in its constructor, so constructing it
-    // here sends them through the installed global cache.
-    const archsim::Study study;
+    // Study's LLC solves run in its constructor, through @p cache.
+    SolverOptions solver;
+    solver.cache = &cache;
+    const archsim::Study study(solver);
     archsim::RunnerOptions opts;
     opts.instrPerThread = 20000;
     opts.epochCycles = 20000;
@@ -298,12 +299,10 @@ main(int argc, char **argv)
     }
     const std::string golden = stripBuildLines(golden_json);
     SolveCache study_cache{SolveCacheConfig{}};
-    setGlobalSolveCache(&study_cache);
     const bool sweep_cold_ok =
-        stripBuildLines(goldenSweepJson()) == golden;
+        stripBuildLines(goldenSweepJson(study_cache)) == golden;
     const bool sweep_warm_ok =
-        stripBuildLines(goldenSweepJson()) == golden;
-    setGlobalSolveCache(nullptr);
+        stripBuildLines(goldenSweepJson(study_cache)) == golden;
     const bool study_hits = study_cache.counters().hits > 0;
     std::printf("cached study sweep vs %s: cold %s, warm %s "
                 "(%llu warm hits)\n",

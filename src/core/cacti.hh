@@ -33,7 +33,7 @@ namespace cactid {
  * optimization, and return the chosen solution, the constraint
  * survivors and the solve's stats.  Both overloads run on the
  * SolverEngine; the plain form uses the default options (jobs =
- * hardware concurrency, the global solve cache if one is installed).
+ * hardware concurrency, no solve cache).
  */
 SolveResult solve(const MemoryConfig &cfg);
 

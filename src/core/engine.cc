@@ -186,7 +186,7 @@ SolverEngine::runPipeline(const Technology &t, const MemoryConfig &cfg,
 SolveResult
 SolverEngine::run(const MemoryConfig &cfg, EngineStats *stats) const
 {
-    SolveCache *cache = opts_.cache ? opts_.cache : globalSolveCache();
+    SolveCache *const cache = opts_.cache;
     std::string key;
     ConfigFingerprint fp;
     SolveResult res;
@@ -264,7 +264,7 @@ SolverEngine::solveBatch(const std::vector<MemoryConfig> &cfgs,
     // Members of a group differ only in objective weights, so stages
     // 1-3 and both constraint filters run once per group.  Every
     // lookup happens here, before any group runs.
-    SolveCache *cache = opts_.cache ? opts_.cache : globalSolveCache();
+    SolveCache *const cache = opts_.cache;
     std::vector<std::vector<std::size_t>> groups;
     std::unordered_map<std::string, std::size_t> byShareKey;
     for (std::size_t ui = 0; ui < uniq.size(); ++ui) {

@@ -66,10 +66,10 @@ struct SolverOptions {
     bool collectAll = true;
 
     /**
-     * Memoization cache consulted by run() and solveBatch().  nullptr
-     * falls back to globalSolveCache() (itself nullptr by default,
-     * i.e. no caching).  Caching never changes results: the engine's
-     * determinism guarantee makes a hit byte-identical to re-solving.
+     * Memoization cache consulted by run() and solveBatch(); nullptr
+     * means no caching.  Not owned.  Caching never changes results:
+     * the engine's determinism guarantee makes a hit byte-identical to
+     * re-solving.
      */
     SolveCache *cache = nullptr;
 };
@@ -90,7 +90,7 @@ public:
     explicit SolverEngine(SolverOptions opts = {}) : opts_(opts) {}
 
     /**
-     * Solve @p cfg through the configured (or global) SolveCache: a
+     * Solve @p cfg through the configured SolveCache, if any: a
      * hit returns the memoized result (byte-identical best and
      * filtered, stats from the solve that populated the entry), and a
      * miss builds the technology, solves and memoizes.  Statistics are

@@ -5,7 +5,10 @@
 
 #include "core/solve_cache.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
 
 #include <sys/stat.h>
 
@@ -91,8 +94,18 @@ SolveCache::SolveCache(SolveCacheConfig cfg) : cfg_(std::move(cfg))
 {
     stamp_ = cfg_.buildStamp.empty() ? defaultBuildStamp()
                                      : cfg_.buildStamp;
-    if (!cfg_.diskDir.empty())
-        ::mkdir(cfg_.diskDir.c_str(), 0755); // EEXIST is fine
+    if (cfg_.diskDir.empty())
+        return;
+    ::mkdir(cfg_.diskDir.c_str(), 0755); // EEXIST is fine
+    // Checked here, so an unusable store fails before any solve
+    // rather than as a write warning after one.
+    struct stat st;
+    if (::stat(cfg_.diskDir.c_str(), &st) != 0)
+        throw std::invalid_argument("cache directory " + cfg_.diskDir +
+                                    ": " + std::strerror(errno));
+    if (!S_ISDIR(st.st_mode))
+        throw std::invalid_argument("cache directory " + cfg_.diskDir +
+                                    " is not a directory");
 }
 
 std::string
@@ -292,22 +305,6 @@ registerSolveCacheStats(obs::Registry &r, const SolveCacheCounters &c)
     r.counter("engine.cache.rejected") = c.rejected;
     r.counter("engine.cache.entries") = c.entries;
     r.counter("engine.cache.bytes") = c.bytes;
-}
-
-namespace {
-std::atomic<SolveCache *> g_cache{nullptr};
-} // namespace
-
-SolveCache *
-globalSolveCache()
-{
-    return g_cache.load(std::memory_order_acquire);
-}
-
-void
-setGlobalSolveCache(SolveCache *cache)
-{
-    g_cache.store(cache, std::memory_order_release);
 }
 
 } // namespace cactid

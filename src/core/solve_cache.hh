@@ -92,6 +92,11 @@ struct SolveCacheCounters {
 /** The memoized solve cache. */
 class SolveCache {
 public:
+    /**
+     * @throws std::invalid_argument (one line) when @p cfg names a
+     *         disk directory that is not a directory once creating it
+     *         was tried: a regular file, or a path under a missing one.
+     */
     explicit SolveCache(SolveCacheConfig cfg = {});
 
     /**
@@ -194,13 +199,16 @@ void registerSolveCacheStats(obs::Registry &r,
                              const SolveCacheCounters &c);
 
 /**
- * The process-global cache consulted by SolverEngine runs whose
- * options carry no explicit cache (nullptr by default: no caching).
- * Tools install one behind `--cache/--cache-dir` before constructing
- * studies, so every solve in the process is memoized.  Not owned.
+ * Always nullptr: there is no process-global cache, and an engine
+ * consults SolverOptions::cache only.  Kept so callers that still
+ * check for one compile.
  */
-SolveCache *globalSolveCache();
-void setGlobalSolveCache(SolveCache *cache);
+[[deprecated("there is no global solve cache; pass SolverOptions::cache")]]
+inline SolveCache *
+globalSolveCache()
+{
+    return nullptr;
+}
 
 } // namespace cactid
 

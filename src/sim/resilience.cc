@@ -210,36 +210,6 @@ FaultPlan::parse(const std::string &spec)
     return plan;
 }
 
-FaultPlan
-FaultPlan::seeded(std::uint64_t seed, std::size_t n_runs,
-                  std::size_t n_faults)
-{
-    FaultPlan plan;
-    if (n_runs == 0)
-        return plan;
-    n_faults = std::min(n_faults, n_runs);
-    Rng rng(seed ^ 0x5eedf417ULL);
-    std::vector<bool> used(n_runs, false);
-    while (plan.faults.size() < n_faults) {
-        const std::size_t run =
-            static_cast<std::size_t>(rng.below(n_runs));
-        if (used[run])
-            continue;
-        used[run] = true;
-        FaultSpec f;
-        f.run = run;
-        f.site = FaultSite::Step;
-        f.action = FaultAction::Throw;
-        f.cycle = 1000 + rng.below(9000);
-        plan.faults.push_back(f);
-    }
-    std::sort(plan.faults.begin(), plan.faults.end(),
-              [](const FaultSpec &a, const FaultSpec &b) {
-                  return a.run < b.run;
-              });
-    return plan;
-}
-
 std::string
 FaultPlan::canonical() const
 {

@@ -10,9 +10,8 @@
  * converts per-run failures into RunStatus values in the result slot
  * (sim/runner.hh), and every claim this layer makes — isolation,
  * deterministic watchdog cycles, resume byte-identity — is provable
- * under an injected FaultPlan, so the tests and
- * bench_sweep_resilience exercise the exact failure paths production
- * sweeps hit.
+ * under an injected FaultPlan, so tests/test_resilience.cc exercises
+ * the exact failure paths production sweeps hit.
  */
 
 #ifndef ARCHSIM_RESILIENCE_HH
@@ -151,14 +150,6 @@ struct FaultPlan {
 
     /** @throws std::invalid_argument on malformed specs. */
     static FaultPlan parse(const std::string &spec);
-
-    /**
-     * A reproducible plan: @p n_faults distinct run indices drawn
-     * from [0, n_runs) by a seeded PRNG, each a Step-site throw at a
-     * seed-derived cycle.  Equal seeds give equal plans.
-     */
-    static FaultPlan seeded(std::uint64_t seed, std::size_t n_runs,
-                            std::size_t n_faults);
 
     /** Canonical spec string (sorted by run, then site); parseable. */
     std::string canonical() const;

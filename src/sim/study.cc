@@ -82,7 +82,7 @@ Study::quantize(const std::string &name, const cactid::Solution &sol) const
     return p;
 }
 
-Study::Study()
+Study::Study(const cactid::SolverOptions &solver)
 {
     using namespace cactid;
 
@@ -164,8 +164,10 @@ Study::Study()
         cfgs.push_back(c);
     }
 
-    // One batch solves the eight configs side by side, one per core.
-    const std::vector<SolveResult> solved = SolverEngine().solveBatch(cfgs);
+    // One batch solves the eight configs side by side, on
+    // solver.jobs threads (0: one per core).
+    const std::vector<SolveResult> solved =
+        SolverEngine(solver).solveBatch(cfgs);
     l1_ = quantize("L1", solved[0].best);
     l2_ = quantize("L2", solved[1].best);
     for (std::size_t i = 0; i < std::size(specs); ++i) {
@@ -396,7 +398,8 @@ Study::printTable3(std::ostream &os) const
             char buf[64];
             std::snprintf(buf, sizeof(buf), "%.3g|%.3g", model(c, r),
                           paper_rows[r].paper[c]);
-            os << std::setw(16) << buf;
+            // The space keeps a 16-character cell off its neighbour.
+            os << std::setw(15) << buf << ' ';
         }
         os << "\n";
     }

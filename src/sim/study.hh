@@ -37,8 +37,11 @@ struct Projection {
 class Study
 {
   public:
-    /** Runs all CACTI-D solves at construction (32 nm, 2 GHz). */
-    Study();
+    /**
+     * Runs all CACTI-D solves at construction (32 nm, 2 GHz), as one
+     * batch on an engine with @p solver's threads and cache.
+     */
+    explicit Study(const cactid::SolverOptions &solver = {});
 
     /** Configuration names in the paper's plotting order. */
     static const std::vector<std::string> &configNames();

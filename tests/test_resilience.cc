@@ -388,21 +388,6 @@ TEST(FaultPlanTest, NumbersMustBeWholeUnsignedDecimals)
     EXPECT_EQ(FaultPlan::parse("1@step:5x2").canonical(), "1@step:5x2");
 }
 
-TEST(FaultPlanTest, SeededPlansAreReproducible)
-{
-    const FaultPlan a = FaultPlan::seeded(7, 48, 3);
-    const FaultPlan b = FaultPlan::seeded(7, 48, 3);
-    EXPECT_EQ(a.canonical(), b.canonical());
-    ASSERT_EQ(a.faults.size(), 3u);
-    for (std::size_t i = 0; i < a.faults.size(); ++i) {
-        EXPECT_LT(a.faults[i].run, 48u);
-        if (i) {
-            EXPECT_LT(a.faults[i - 1].run, a.faults[i].run);
-        }
-    }
-    EXPECT_NE(FaultPlan::seeded(8, 48, 3).canonical(), a.canonical());
-}
-
 // ---------------------------------------------------------------- //
 // CheckpointStore                                                  //
 // ---------------------------------------------------------------- //

@@ -106,10 +106,12 @@ TEST(ServeRequest, MembersAreNeverSplicedIntoConfigText)
 
 TEST(ServeRequest, EngineKeysAreIgnored)
 {
-    // A request cannot change the server's execution policy.
+    // A request cannot change the server's execution policy: a config
+    // holds no engine key, so naming one fails the request alone.
     const ServeRequest req = parseServeRequest(
         requestLine("r", "64K", 4, ", \"jobs\": 99"), 0);
-    EXPECT_TRUE(req.ok) << req.error;
+    EXPECT_FALSE(req.ok);
+    EXPECT_EQ(req.error, "unknown key 'jobs'");
 }
 
 TEST(Serve, ResponsesAreDeterministicAndOrdered)

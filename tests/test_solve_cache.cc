@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <typeinfo>
 #include <utility>
@@ -712,6 +714,29 @@ TEST(SolveCacheDisk, HostileListCountIsRejectedAndResolved)
         << warnings[0];
 }
 
+TEST(SolveCacheDisk, UnusableDirectoryFailsAtConstruction)
+{
+    // A regular file where the directory should be, and a directory
+    // under a missing one: each fails as one line naming the path
+    // before any solve, not as a write warning after one.
+    const std::string file = tempDir("sc_not_a_dir");
+    std::ofstream(file) << "not a directory\n";
+    const std::string orphan = tempDir("sc_no_parent") + "/cache";
+    for (const std::string &dir : {file, orphan}) {
+        SolveCacheConfig cc;
+        cc.diskDir = dir;
+        try {
+            const SolveCache cache(cc);
+            ADD_FAILURE() << "accepted " << dir;
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(dir), std::string::npos) << what;
+            EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+        }
+    }
+    std::remove(file.c_str());
+}
+
 // --- Record format pins ----------------------------------------------
 
 const char *const kFixtureKey = "cactid-config-v1|fixture=all-fields";
@@ -808,7 +833,7 @@ TEST(SolveCacheFormat, PinnedV1RecordIsRejected)
     EXPECT_EQ(rewritten.rfind("cactid-cache-v2\n", 0), 0u);
 }
 
-// --- Registry + global install --------------------------------------
+// --- Registry -------------------------------------------------------
 
 TEST(SolveCacheStats, AllNamesEmittedAsZeros)
 {
@@ -823,24 +848,6 @@ TEST(SolveCacheStats, AllNamesEmittedAsZeros)
         EXPECT_EQ(r.counterValue(name), 0u) << name;
         EXPECT_EQ(r.counters().count(name), 1u) << name;
     }
-}
-
-TEST(SolveCacheGlobal, EngineUsesInstalledCache)
-{
-    SolveCache cache;
-    setGlobalSolveCache(&cache);
-    const MemoryConfig cfg = sramCache();
-    const SolveResult first = solve(cfg);
-    const SolveResult second = solve(cfg);
-    setGlobalSolveCache(nullptr);
-
-    expectIdenticalResult(first, second);
-    EXPECT_EQ(cache.counters().misses, 1u);
-    EXPECT_EQ(cache.counters().hits, 1u);
-
-    // Uninstalled again: solves bypass the cache.
-    (void)solve(cfg);
-    EXPECT_EQ(cache.counters().hits, 1u);
 }
 
 // --- Batch API ------------------------------------------------------

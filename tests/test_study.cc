@@ -6,10 +6,13 @@
 
 #include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/solve_cache.hh"
 #include "sim/study.hh"
 
 namespace {
@@ -243,6 +246,93 @@ TEST_F(StudyTest, Table3Prints)
     study_->printTable3(os);
     EXPECT_NE(os.str().find("Table 3"), std::string::npos);
     EXPECT_NE(os.str().find("mm-chip"), std::string::npos);
+}
+
+/** True when all of @p s is one number. */
+bool
+isNumber(const std::string &s)
+{
+    char *end = nullptr;
+    std::strtod(s.c_str(), &end);
+    return !s.empty() && end == s.c_str() + s.size();
+}
+
+TEST_F(StudyTest, Table3CellsStaySeparate)
+{
+    // Each metric row is its 22-column name, then eight "model|paper"
+    // cells; a 16-character cell once ran into the next one.
+    std::ostringstream os;
+    study_->printTable3(os);
+    std::istringstream table(os.str());
+    std::string line;
+    std::getline(table, line); // banner
+    std::getline(table, line); // column names
+    for (int row = 0; row < 7; ++row) {
+        ASSERT_TRUE(std::getline(table, line));
+        ASSERT_GT(line.size(), 22u) << line;
+        std::istringstream cells(line.substr(22));
+        std::vector<std::string> tokens;
+        for (std::string t; cells >> t;)
+            tokens.push_back(t);
+        ASSERT_EQ(tokens.size(), 8u) << line;
+        for (const std::string &t : tokens) {
+            const std::size_t bar = t.find('|');
+            ASSERT_NE(bar, std::string::npos) << line;
+            EXPECT_TRUE(isNumber(t.substr(0, bar))) << t;
+            EXPECT_TRUE(isNumber(t.substr(bar + 1))) << t;
+        }
+    }
+}
+
+/** What a Study keeps of one solve, compared exactly. */
+void
+expectSameSolution(const cactid::Solution &a, const cactid::Solution &b)
+{
+    EXPECT_TRUE(a.data == b.data);
+    EXPECT_TRUE(a.tag == b.tag);
+    EXPECT_EQ(a.accessTime, b.accessTime);
+    EXPECT_EQ(a.randomCycle, b.randomCycle);
+    EXPECT_EQ(a.interleaveCycle, b.interleaveCycle);
+    EXPECT_EQ(a.totalArea, b.totalArea);
+    EXPECT_EQ(a.readEnergy, b.readEnergy);
+    EXPECT_EQ(a.leakage, b.leakage);
+    EXPECT_EQ(a.refreshPower, b.refreshPower);
+    EXPECT_EQ(a.tRc, b.tRc);
+    EXPECT_EQ(a.objective, b.objective);
+}
+
+void
+expectSameProjection(const Projection &a, const Projection &b)
+{
+    SCOPED_TRACE(a.name);
+    expectSameSolution(a.sol, b.sol);
+    EXPECT_EQ(a.clockDiv, b.clockDiv);
+    EXPECT_EQ(a.accessCycles, b.accessCycles);
+    EXPECT_EQ(a.randomCycles, b.randomCycles);
+    EXPECT_EQ(a.interleaveCycles, b.interleaveCycles);
+}
+
+TEST(StudySolveCache, SecondStudyIsServedFromTheSharedCache)
+{
+    // The cache reaches the eight LLC-study solves through the
+    // constructor's SolverOptions, not through any process state.
+    cactid::SolveCache cache;
+    cactid::SolverOptions solver;
+    solver.cache = &cache;
+    const Study first(solver);
+    EXPECT_EQ(cache.counters().misses, 8u);
+    EXPECT_EQ(cache.counters().hits, 0u);
+    const Study second(solver);
+    EXPECT_EQ(cache.counters().misses, 8u);
+    EXPECT_EQ(cache.counters().hits, 8u);
+
+    expectSameProjection(first.l1(), second.l1());
+    expectSameProjection(first.l2(), second.l2());
+    for (const std::string &config : Study::configNames()) {
+        if (config != "nol3")
+            expectSameProjection(first.l3(config), second.l3(config));
+    }
+    expectSameSolution(first.mainMemoryChip(), second.mainMemoryChip());
 }
 
 } // namespace

@@ -7,9 +7,10 @@
  * The flag table in commandLine() drives parsing and `--help`.
  *
  * Exit codes: 0 success; 2 usage or configuration error, including a
- * flag value below its bound (`--jobs -1`), a config key out of range
- * (`jobs = -3`) and a config with no feasible organization; 3
- * internal error (unexpected exception, failed output write).
+ * flag value below its bound (`--jobs -1`), `--sweep` with `--csv` or
+ * `--registry`, an unusable `--cache-dir`, a malformed config value
+ * (`associativity = 4x`) and a config with no feasible organization;
+ * 3 internal error (unexpected exception, failed output write).
  */
 
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,7 +28,6 @@
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "core/solve_cache.hh"
-#include "tools/cache_cli.hh"
 #include "tools/cli.hh"
 #include "tools/config_parser.hh"
 
@@ -97,12 +98,11 @@ struct CliArgs {
     std::string sweep;
     std::string tracePath;
     std::string registryPath;
-    std::string cacheMode;
     std::string cacheDir;
     bool csv = false;
     bool stats = false;
     bool profile = false;
-    int jobs = -1; ///< -1: not given (a given value is >= 0)
+    int jobs = 0;
 };
 
 cactid::tools::CommandLine
@@ -111,18 +111,15 @@ commandLine(CliArgs &a)
     std::vector<cactid::tools::Flag> flags = {
         {"--csv", nullptr, "print a CSV of the filtered solutions", &a.csv},
         {"--sweep", "A,B", "capacity sweep (K/M/G suffixes)", &a.sweep},
-        {"--jobs", "N", "worker threads (0 = all cores; overrides the "
-         "config key jobs)", &a.jobs},
+        {"--jobs", "N", "worker threads (0 = all cores)", &a.jobs},
         {"--stats", nullptr, "print engine instrumentation", &a.stats},
         {"--trace", "FILE", "write profiling spans as Chrome trace JSON (- "
          "for stdout)", &a.tracePath},
         {"--profile", nullptr, "span summary on stderr", &a.profile},
         {"--registry", "FILE", "solver counters as cactid-obs-v1",
          &a.registryPath},
-        {"--cache", "on|off", "memoize solves (default off, on when "
-         "--cache-dir is given)", &a.cacheMode},
-        {"--cache-dir", "DIR", "persist cache records under DIR",
-         &a.cacheDir},
+        {"--cache-dir", "DIR", "memoize solves in records under DIR, shared "
+         "across runs", &a.cacheDir},
     };
     return {
         kTool,
@@ -133,7 +130,7 @@ commandLine(CliArgs &a)
         "\nconfig keys: size block associativity banks type access_mode\n"
         "  technology tag_technology feature_nm temperature_k sleep_tx\n"
         "  ecc max_area max_acctime repeater_derate weight_* io_bits\n"
-        "  burst_length prefetch_width page_bytes address_bits jobs\n"
+        "  burst_length prefetch_width page_bytes address_bits\n"
         "\nexit codes: 0 success; 2 usage, configuration error or no "
         "feasible\norganization; 3 internal error\n",
         &a.configPath};
@@ -187,12 +184,29 @@ main(int argc, char **argv)
         cactid::obs::Tracer::instance().enable(true);
 
     return cactid::tools::runGuarded(kTool, [&] {
-        cactid::tools::installSolveCache(args.cacheMode, args.cacheDir);
+        // A sweep prints its own table: no CSV, no registry.
+        if (!args.sweep.empty() && args.csv)
+            throw std::invalid_argument("--sweep cannot be combined with "
+                                        "--csv");
+        if (!args.sweep.empty() && !args.registryPath.empty())
+            throw std::invalid_argument("--sweep cannot be combined with "
+                                        "--registry");
+
+        // One process solves once (or one batch), so only records on
+        // disk can ever hit: the cache exists only behind --cache-dir.
+        std::optional<cactid::SolveCache> cache;
+        if (!args.cacheDir.empty()) {
+            cactid::SolveCacheConfig cc;
+            cc.diskDir = args.cacheDir;
+            cache.emplace(std::move(cc));
+        }
+        cactid::SolverOptions opts;
+        opts.jobs = args.jobs;
+        opts.cache = cache ? &*cache : nullptr;
 
         cactid::MemoryConfig cfg;
-        cactid::SolverOptions opts;
         if (args.configPath == "-") {
-            cfg = cactid::tools::parseConfig(std::cin, &opts);
+            cfg = cactid::tools::parseConfig(std::cin);
         } else {
             std::ifstream f(args.configPath);
             if (!f) {
@@ -200,10 +214,8 @@ main(int argc, char **argv)
                              args.configPath.c_str());
                 return 2;
             }
-            cfg = cactid::tools::parseConfig(f, &opts);
+            cfg = cactid::tools::parseConfig(f);
         }
-        if (args.jobs >= 0) // command line overrides the config file
-            opts.jobs = args.jobs;
 
         if (!args.sweep.empty()) {
             printSweep(cfg, args.sweep, opts, args.stats);
@@ -215,10 +227,8 @@ main(int argc, char **argv)
         if (!args.registryPath.empty()) {
             cactid::obs::Registry reg;
             cactid::registerEngineStats(reg, res.stats);
-            if (const cactid::SolveCache *cache =
-                    cactid::tools::installedSolveCache())
-                cactid::registerSolveCacheStats(reg,
-                                                cache->counters());
+            if (cache)
+                cactid::registerSolveCacheStats(reg, cache->counters());
             io_ok &=
                 withStream(kTool, args.registryPath, [&](std::ostream &os) {
                     cactid::obs::writeRegistryDump(

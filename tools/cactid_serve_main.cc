@@ -15,8 +15,8 @@
  * Exit codes: 0 every request answered ok; 1 stream served but some
  * request failed (parse error or infeasible config); 2 usage or
  * configuration error, including a flag value below its bound
- * (`--jobs -1`, `--shards -1`); 3 internal error (worker death,
- * failed write).
+ * (`--jobs -1`, `--shards -1`) and an unusable `--cache-dir`; 3
+ * internal error (worker death, failed write).
  */
 
 #include <cstdio>
@@ -35,7 +35,6 @@
 
 #include "core/solve_cache.hh"
 #include "obs/registry.hh"
-#include "tools/cache_cli.hh"
 #include "tools/cli.hh"
 #include "tools/report.hh"
 #include "tools/serve.hh"
@@ -51,7 +50,6 @@ constexpr const char *kTool = "cactid-serve";
 struct CliArgs {
     std::string requestsPath = "-";
     std::string outPath = "-";
-    std::string cacheMode;
     std::string cacheDir;
     std::string registryPath, openMetricsPath;
     int jobs = 0;
@@ -80,9 +78,7 @@ commandLine(CliArgs &a)
          &a.outPath},
         {"--jobs", "N", "engine worker threads per process (0 = all cores)",
          &a.jobs},
-        {"--cache", "on|off", "memoize solves in-process (default off, on "
-         "when --cache-dir is given)", &a.cacheMode},
-        {"--cache-dir", "DIR", "persist cache records under DIR, shared "
+        {"--cache-dir", "DIR", "memoize solves in records under DIR, shared "
          "across shards and runs; records from a different build are "
          "rejected and re-solved", &a.cacheDir},
         {"--registry", "FILE", "serve + cache counters as cactid-obs-v1",
@@ -132,7 +128,7 @@ readLines(const std::string &path, std::vector<std::string> &out)
  * and emit every configured output.
  */
 int
-serveInProcess(const CliArgs &args)
+serveInProcess(const CliArgs &args, SolveCache *cache)
 {
     std::vector<std::string> lines;
     if (!readLines(args.requestsPath, lines))
@@ -140,6 +136,7 @@ serveInProcess(const CliArgs &args)
 
     tools::ServeOptions opts;
     opts.solver.jobs = args.jobs;
+    opts.solver.cache = cache;
     if (args.shardIndex >= 0) {
         opts.shardIndex = args.shardIndex;
         opts.shardCount = args.shardCount;
@@ -154,8 +151,7 @@ serveInProcess(const CliArgs &args)
     });
 
     obs::Registry reg;
-    tools::registerServeStats(reg, stats,
-                              tools::installedSolveCache());
+    tools::registerServeStats(reg, stats, cache);
     if (!args.registryPath.empty())
         io_ok &= withStream(kTool, args.registryPath, [&](std::ostream &os) {
             obs::writeRegistryDump(os, {{"serve", &reg}});
@@ -196,10 +192,6 @@ serveSharded(const CliArgs &args)
             "--shard", std::to_string(i) + "/" + std::to_string(n),
             "--jobs", std::to_string(args.jobs),
         };
-        if (!args.cacheMode.empty()) {
-            argv_s.push_back("--cache");
-            argv_s.push_back(args.cacheMode);
-        }
         if (!args.cacheDir.empty()) {
             argv_s.push_back("--cache-dir");
             argv_s.push_back(args.cacheDir);
@@ -342,9 +334,17 @@ main(int argc, char **argv)
             throw std::invalid_argument(
                 "--shards needs file paths for --requests and --out "
                 "(workers re-read the stream)");
-        tools::installSolveCache(args.cacheMode, args.cacheDir);
+        // One process serves one batch, so only records on disk can
+        // ever hit.  Built before any worker starts, so an unusable
+        // --cache-dir fails once, here.
+        std::optional<SolveCache> cache;
+        if (!args.cacheDir.empty()) {
+            SolveCacheConfig cc;
+            cc.diskDir = args.cacheDir;
+            cache.emplace(std::move(cc));
+        }
         if (args.shards > 1)
             return serveSharded(args);
-        return serveInProcess(args);
+        return serveInProcess(args, cache ? &*cache : nullptr);
     });
 }

@@ -12,8 +12,8 @@
  * non-Ok (failed / timed out); 2 usage or configuration error,
  * including a flag value below its bound (`--jobs -1`,
  * `--threads-per-core -1`, `--cores -1`, `--instr 0`,
- * `--trace-capacity 0`); 3 internal error (unexpected exception,
- * failed output write).
+ * `--trace-capacity 0`) and an unusable `--cache-dir`; 3 internal
+ * error (unexpected exception, failed output write).
  */
 
 #include <cstdio>
@@ -27,11 +27,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/solve_cache.hh"
 #include "obs/export.hh"
 #include "obs/trace.hh"
 #include "sim/resilience.hh"
 #include "sim/runner.hh"
-#include "tools/cache_cli.hh"
 #include "tools/cli.hh"
 
 namespace {
@@ -65,7 +65,7 @@ struct CliArgs {
     std::uint64_t telemetryIntervalMs = 0; ///< 0: not given
     bool latencyHistograms = false;
     std::string checkpointDir, faultPlanSpec;
-    std::string cacheMode, cacheDir;
+    std::string cacheDir;
     std::uint64_t traceCapacity = 1 << 14;
     std::uint64_t maxCycles = 0;
     std::uint64_t maxWallMs = 0;
@@ -113,12 +113,10 @@ commandLine(CliArgs &a)
          "--jobs)", &a.tracePath},
         {"--trace-capacity", "N", "per-run event ring size (default 16384)",
          &a.traceCapacity, 1},
-        {"--cache", "on|off", "memoize the study's LLC solves (default off, "
-         "on when --cache-dir is given; the sweep output is byte-identical "
-         "either way)", &a.cacheMode},
-        {"--cache-dir", "DIR", "persist solve-cache records under DIR, "
-         "shared across runs; records from another build are rejected and "
-         "re-solved", &a.cacheDir},
+        {"--cache-dir", "DIR", "memoize the study's LLC solves in records "
+         "under DIR, shared across runs; records from another build are "
+         "rejected and re-solved (the sweep output is byte-identical "
+         "either way)", &a.cacheDir},
         {"--registry", "FILE", "write per-run counters as cactid-obs-v1",
          &a.registryPath},
         {"--openmetrics", "FILE", "write per-run counters in the "
@@ -255,11 +253,17 @@ main(int argc, char **argv)
 
     return cactid::tools::runGuarded(kTool, [&] {
         checkCombinations(args);
-        // Install the solve cache before the Study constructor runs
-        // its eight LLC solves, so those are memoized too.
-        cactid::tools::installSolveCache(args.cacheMode, args.cacheDir);
-
-        Study study;
+        // The Study constructor runs the eight LLC solves as one
+        // batch, so only records on disk can ever hit.
+        std::optional<cactid::SolveCache> cache;
+        if (!args.cacheDir.empty()) {
+            cactid::SolveCacheConfig cc;
+            cc.diskDir = args.cacheDir;
+            cache.emplace(std::move(cc));
+        }
+        cactid::SolverOptions solver;
+        solver.cache = cache ? &*cache : nullptr;
+        const Study study(solver);
         if (args.table3)
             study.printTable3(std::cout);
 

@@ -92,8 +92,8 @@ parseCapacity(const std::string &text)
 }
 
 void
-applyConfigKey(MemoryConfig &cfg, SolverOptions &eng,
-               const std::string &key_text, const std::string &value_text)
+applyConfigKey(MemoryConfig &cfg, const std::string &key_text,
+               const std::string &value_text)
 {
     const std::string key = lower(trim(key_text));
     const std::string value = trim(value_text);
@@ -189,20 +189,15 @@ applyConfigKey(MemoryConfig &cfg, SolverOptions &eng,
         cfg.pageBytes = integer();
     } else if (key == "address_bits") {
         cfg.physicalAddressBits = integer();
-    } else if (key == "jobs") {
-        eng.jobs = integer();
-        if (eng.jobs < 0)
-            bad("an integer >= 0");
     } else {
         throw std::invalid_argument("unknown key '" + key + "'");
     }
 }
 
 MemoryConfig
-parseConfig(std::istream &in, SolverOptions *opts)
+parseConfig(std::istream &in)
 {
     MemoryConfig cfg;
-    SolverOptions discard;
     std::string line;
     for (int line_no = 1; std::getline(in, line); ++line_no) {
         const auto hash = line.find('#');
@@ -214,8 +209,7 @@ parseConfig(std::istream &in, SolverOptions *opts)
         try {
             if (eq == std::string::npos)
                 throw std::invalid_argument("expected key = value");
-            applyConfigKey(cfg, opts ? *opts : discard, line.substr(0, eq),
-                           line.substr(eq + 1));
+            applyConfigKey(cfg, line.substr(0, eq), line.substr(eq + 1));
         } catch (const std::invalid_argument &e) {
             throw std::invalid_argument("line " + std::to_string(line_no) +
                                         ": " + e.what());

@@ -11,13 +11,13 @@
 #include <string>
 
 #include "core/config.hh"
-#include "core/engine.hh"
 
 namespace cactid::tools {
 
 /**
- * Parse a configuration stream into a MemoryConfig (and, optionally,
- * engine options).
+ * Parse a configuration stream into a MemoryConfig.  A config
+ * describes only the memory to model; how a solve runs (threads,
+ * cache) is set on the command line.
  *
  * Recognized keys (one `key = value` per line, `#` comments):
  *
@@ -39,29 +39,23 @@ namespace cactid::tools {
  *   weight_dynamic / weight_leakage / weight_cycle /
  *   weight_interleave / weight_acctime / weight_area
  *   io_bits, burst_length, prefetch_width, page_bytes  (main memory)
- *   jobs              solver worker threads (>= 0; 0 = hardware concurrency)
- *
- * The engine key (jobs) lands in @p opts when given; with opts ==
- * nullptr it is parsed and discarded, so a config written for the
- * parallel engine still loads everywhere.
+ *   address_bits      physical address width
  *
  * @throws std::invalid_argument on unknown keys or malformed values,
  *         naming the line.
  */
-MemoryConfig parseConfig(std::istream &in,
-                         SolverOptions *opts = nullptr);
+MemoryConfig parseConfig(std::istream &in);
 
 /**
  * Apply one `key = value` setting, the unit config-file lines and
  * cactid-serve request members are both made of: @p key is lower-cased
- * and @p value trimmed, then parsed as parseConfig lists them (the
- * engine key lands in @p opts).
+ * and @p value trimmed, then parsed as parseConfig lists them.
  *
  * @throws std::invalid_argument naming the key on an unknown key or a
  *         malformed value.
  */
-void applyConfigKey(MemoryConfig &cfg, SolverOptions &opts,
-                    const std::string &key, const std::string &value);
+void applyConfigKey(MemoryConfig &cfg, const std::string &key,
+                    const std::string &value);
 
 /** Parse a capacity string with optional K/M/G suffix ("24M"). */
 double parseCapacity(const std::string &text);

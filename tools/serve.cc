@@ -112,17 +112,14 @@ parseServeRequest(const std::string &line, std::size_t index)
         req.error = "request needs a \"config\" object";
         return req;
     }
-    // The engine key (jobs) parses but is discarded: execution
-    // policy belongs to the server, not the request.
-    SolverOptions discard;
     try {
         for (const auto &[key, value] : config->object) {
             if (value.kind == JsonValue::Kind::String)
-                applyConfigKey(req.cfg, discard, key, value.str);
+                applyConfigKey(req.cfg, key, value.str);
             else if (value.kind == JsonValue::Kind::Number)
-                applyConfigKey(req.cfg, discard, key, value.number);
+                applyConfigKey(req.cfg, key, value.number);
             else if (value.kind == JsonValue::Kind::Bool)
-                applyConfigKey(req.cfg, discard, key,
+                applyConfigKey(req.cfg, key,
                                value.boolean ? "true" : "false");
             else
                 throw std::invalid_argument(

@@ -12,9 +12,9 @@
  * the cactid config-file parser (tools/config_parser.hh).  Each
  * member goes through applyConfigKey as one key and one value (a
  * string, number or boolean), never spliced into config text, so a
- * newline or `#` inside a member is just a bad value.  The engine key
- * (jobs) is ignored so a request cannot change how the server
- * executes.  "id" is optional and echoed back verbatim.
+ * newline or `#` inside a member is just a bad value.  A config holds
+ * no execution setting, so a request cannot change how the server
+ * runs.  "id" is optional and echoed back verbatim.
  *
  * One response per request, in request order, rendered with the
  * locale-proof fmtDouble so equal solves always produce equal bytes:
@@ -26,9 +26,9 @@
  *
  * Requests flow through SolverEngine::solveBatch, so duplicate
  * configs solve once and weight-only variants share one enumeration;
- * a process-global SolveCache (installed by the tool behind --cache /
- * --cache-dir) memoizes across batches and across shard processes
- * via the shared on-disk store.
+ * the SolveCache in ServeOptions::solver (the tool builds one behind
+ * --cache-dir) memoizes across shard processes and runs via the
+ * shared on-disk store.
  *
  * Sharding contract: a shard serves the requests whose stream index i
  * satisfies i % shardCount == shardIndex, and emits responses that
