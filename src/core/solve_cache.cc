@@ -5,17 +5,11 @@
 
 #include "core/solve_cache.hh"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <stdexcept>
-
-#include <sys/stat.h>
 
 #include "obs/build_info.hh"
 #include "obs/registry.hh"
 #include "util/atomic_file.hh"
-#include "util/hash.hh"
 #include "util/record.hh"
 
 namespace cactid {
@@ -92,30 +86,10 @@ entryBytes(const std::string &key, const SolveResult &res)
 
 SolveCache::SolveCache(SolveCacheConfig cfg) : cfg_(std::move(cfg))
 {
-    stamp_ = cfg_.buildStamp.empty() ? defaultBuildStamp()
+    stamp_ = cfg_.buildStamp.empty() ? obs::buildStamp()
                                      : cfg_.buildStamp;
-    if (cfg_.diskDir.empty())
-        return;
-    ::mkdir(cfg_.diskDir.c_str(), 0755); // EEXIST is fine
-    // Checked here, so an unusable store fails before any solve
-    // rather than as a write warning after one.
-    struct stat st;
-    if (::stat(cfg_.diskDir.c_str(), &st) != 0)
-        throw std::invalid_argument("cache directory " + cfg_.diskDir +
-                                    ": " + std::strerror(errno));
-    if (!S_ISDIR(st.st_mode))
-        throw std::invalid_argument("cache directory " + cfg_.diskDir +
-                                    " is not a directory");
-}
-
-std::string
-SolveCache::defaultBuildStamp()
-{
-    const obs::BuildInfo &b = obs::buildInfo();
-    std::string s = "cactid-build|" + b.gitDescribe + "|" +
-                    b.compiler + "|" + b.flags + "|" + b.buildType +
-                    "|" + (b.tracingCompiled ? "trace" : "notrace");
-    return util::hex16(util::fnv1a64(s));
+    if (!cfg_.diskDir.empty())
+        util::ensureDirectory(cfg_.diskDir, "cache directory");
 }
 
 bool

@@ -1,8 +1,8 @@
 /**
  * @file
  * Memoized solve cache: one in-memory LRU over canonical config
- * fingerprints, with an optional on-disk store so cold processes and
- * sweep shards start warm.
+ * fingerprints, with an optional on-disk store so cold processes
+ * start warm.
  *
  * Design-space sweeps re-solve the same (technology, capacity,
  * geometry) points over and over; a production solve service answers
@@ -63,15 +63,15 @@ struct SolveCacheConfig {
 
     /**
      * Build stamp written into (and demanded of) on-disk records.
-     * Empty = SolveCache::defaultBuildStamp(), derived from the
-     * compiled-in build info — so records never outlive the model
-     * that produced them.  Tests override it to simulate stale files.
+     * Empty = obs::buildStamp(), derived from the compiled-in build
+     * info.  Tests override it to simulate stale files.
      */
     std::string buildStamp;
 
     /**
-     * One-line diagnostics (rejected records).  Default: the first
-     * rejection per cache prints to stderr; later ones only count.
+     * One-line diagnostics (rejected records, failed writes), each
+     * passed here.  Default: the first per cache prints to stderr as
+     * `cactid: <diagnostic>`; later ones only count.
      */
     std::function<void(const std::string &)> onWarn;
 };
@@ -123,13 +123,6 @@ public:
 
     /** Build stamp actually in force (config override or default). */
     const std::string &buildStamp() const { return stamp_; }
-
-    /**
-     * Stamp derived from the compiled-in build info (git describe,
-     * compiler, flags, build type): equal binaries agree, any model
-     * rebuild disagrees.
-     */
-    static std::string defaultBuildStamp();
 
     // --- Record codec (exposed for tests and tooling).
 

@@ -7,6 +7,7 @@
 
 #include "obs/numfmt.hh"
 #include "obs/trace.hh" // for CACTID_OBS_TRACING
+#include "util/hash.hh"
 
 #if __has_include("obs/build_info.gen.hh")
 #include "obs/build_info.gen.hh"
@@ -31,6 +32,16 @@ buildInfo()
         CACTID_OBS_TRACING != 0,
     };
     return info;
+}
+
+std::string
+buildStamp()
+{
+    const BuildInfo &b = buildInfo();
+    std::string s = "cactid-build|" + b.gitDescribe + "|" +
+                    b.compiler + "|" + b.flags + "|" + b.buildType +
+                    "|" + (b.tracingCompiled ? "trace" : "notrace");
+    return util::hex16(util::fnv1a64(s));
 }
 
 std::string

@@ -28,6 +28,14 @@ struct BuildInfo {
 /** The stamp baked into this binary. */
 const BuildInfo &buildInfo();
 
+/**
+ * A 16-hex-digit hash of buildInfo() (git describe, compiler, flags,
+ * build type, tracing): binaries configured at another commit or
+ * built another way disagree.  Solve-cache and checkpoint records
+ * carry it and are refused by a binary whose stamp differs.
+ */
+std::string buildStamp();
+
 /** One-line `--version` output for @p tool. */
 std::string versionLine(const std::string &tool);
 

@@ -8,8 +8,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include <sys/stat.h>
-
+#include "obs/build_info.hh"
 #include "sim/runner.hh"
 #include "util/atomic_file.hh"
 #include "util/hash.hh"
@@ -20,8 +19,11 @@ namespace archsim {
 
 namespace {
 
-/** v2 added the sparse-directory counters to the stats line. */
-constexpr const char *kCheckpointHeader = "cactid-ckpt-v2";
+/**
+ * v2 added the sparse-directory counters to the stats line, v3 the
+ * build stamp.
+ */
+constexpr const char *kCheckpointHeader = "cactid-ckpt-v3";
 
 /** Record key: hashes the sweep fingerprint with the run's identity. */
 std::string
@@ -254,16 +256,8 @@ sweepFingerprint(std::uint64_t instr_per_thread, Cycle epoch_cycles,
 CheckpointStore::CheckpointStore(std::string dir,
                                  std::string fingerprint)
     : dir_(std::move(dir)), fp_(std::move(fingerprint))
-{}
-
-bool
-CheckpointStore::ensureDir(std::string *err) const
 {
-    if (::mkdir(dir_.c_str(), 0755) == 0 || errno == EEXIST)
-        return true;
-    if (err)
-        *err = "cannot create checkpoint directory " + dir_;
-    return false;
+    cactid::util::ensureDirectory(dir_, "checkpoint directory");
 }
 
 std::string
@@ -277,6 +271,7 @@ std::string
 CheckpointStore::encode(const RunResult &r) const
 {
     cactid::util::RecordWriter w(kCheckpointHeader);
+    w.text("build", cactid::obs::buildStamp());
     w.text("key", recordKey(fp_, r.config, r.workload));
     w.text("config", r.config);
     w.text("workload", r.workload);
@@ -298,16 +293,19 @@ CheckpointStore::decode(const std::string &bytes,
 {
     cactid::util::RecordReader rd(bytes, kCheckpointHeader);
     RunResult r;
-    std::string key, status;
+    std::string build, key, status;
+    rd.text("build", build);
     rd.text("key", key);
     rd.text("config", r.config);
     rd.text("workload", r.workload);
     rd.text("status", status);
     runFields(rd, r);
-    // Besides the framing, reject records keyed under different sweep
-    // options: the key covers the fingerprint, so a stale directory
-    // cannot leak runs simulated with, say, another instruction budget.
-    if (!rd.finish() || key != recordKey(fp_, r.config, r.workload) ||
+    // Besides the framing, reject records from another build or keyed
+    // under different sweep options: the key covers the fingerprint,
+    // so a stale directory cannot leak runs simulated by another model
+    // or with, say, another instruction budget.
+    if (!rd.finish() || build != cactid::obs::buildStamp() ||
+        key != recordKey(fp_, r.config, r.workload) ||
         !parseRunStatus(status, r.status) || r.attempts < 1)
         return Load::Invalid;
     r.stats.config = r.config;

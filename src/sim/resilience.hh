@@ -157,10 +157,10 @@ struct FaultPlan {
 
 /**
  * Canonical fingerprint of the sweep-level options that determine a
- * run's results.  Two sweeps sharing this string (and the study) may
- * exchange checkpoint records for the same (config, workload); the
- * wall-clock budget and the fault plan are deliberately excluded —
- * neither changes the bytes of an Ok run.
+ * run's results.  Two sweeps of one build sharing this string (and
+ * the study) may exchange checkpoint records for the same (config,
+ * workload); the wall-clock budget and the fault plan are
+ * deliberately excluded — neither changes the bytes of an Ok run.
  */
 std::string sweepFingerprint(std::uint64_t instr_per_thread,
                              Cycle epoch_cycles, bool thermal,
@@ -171,7 +171,8 @@ std::string sweepFingerprint(std::uint64_t instr_per_thread,
  * completed run under a directory, written via the shared atomic
  * write helper (util/atomic_file.hh) in the checksummed record
  * framing (util/record.hh), so a sweep killed mid-write never leaves
- * a record a later --resume would trust.
+ * a record a later --resume would trust.  Records carry the build
+ * stamp (obs::buildStamp); a binary with another stamp re-runs them.
  */
 class CheckpointStore
 {
@@ -179,14 +180,18 @@ class CheckpointStore
     /** Outcome of loading one record. */
     enum class Load : std::uint8_t {
         Missing, ///< no record on disk
-        Invalid, ///< torn, corrupt, or from a different sweep
+        Invalid, ///< torn, corrupt, or from another build or sweep
         Loaded,  ///< @p out is the persisted RunResult
     };
 
+    /**
+     * Creates @p dir if it is missing.
+     *
+     * @throws std::invalid_argument (one line) when @p dir is not a
+     *         directory once creating it was tried: a regular file, or
+     *         a path under a missing one.
+     */
     CheckpointStore(std::string dir, std::string fingerprint);
-
-    /** Create the directory if needed; false (with @p err) on failure. */
-    bool ensureDir(std::string *err = nullptr) const;
 
     /** Record path of one (config, workload) run. */
     std::string path(const std::string &config,
@@ -206,7 +211,7 @@ class CheckpointStore
     const std::string &dir() const { return dir_; }
     const std::string &fingerprint() const { return fp_; }
 
-    /** Serialize a record to the cactid-ckpt-v2 text format. */
+    /** Serialize a record to the cactid-ckpt-v3 text format. */
     std::string encode(const RunResult &r) const;
 
     /** Parse + validate a record; Load::Invalid on any defect. */

@@ -1,6 +1,7 @@
 /**
  * @file
- * Atomic write implementation (POSIX: open/write/fsync/rename).
+ * Atomic write implementation (POSIX: open/write/fsync/rename) and
+ * the store-directory check.
  */
 
 #include "util/atomic_file.hh"
@@ -9,8 +10,10 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace cactid::util {
@@ -126,6 +129,21 @@ readFile(const std::string &path, std::string &out, std::string *err)
     }
     out = ss.str();
     return true;
+}
+
+void
+ensureDirectory(const std::string &dir, const std::string &what)
+{
+    ::mkdir(dir.c_str(), 0755); // EEXIST is fine
+    // Checked here, so an unusable store fails before its first
+    // write rather than as a write error after the work.
+    struct stat st;
+    if (::stat(dir.c_str(), &st) != 0)
+        throw std::invalid_argument(what + " " + dir + ": " +
+                                    std::strerror(errno));
+    if (!S_ISDIR(st.st_mode))
+        throw std::invalid_argument(what + " " + dir +
+                                    " is not a directory");
 }
 
 } // namespace cactid::util

@@ -8,7 +8,9 @@
  * temporary, flushes it to stable storage (fsync), and renames it
  * over the destination, so readers only ever observe the old bytes or
  * the complete new bytes.  On any failure the temporary is removed
- * and the destination is left untouched.
+ * and the destination is left untouched.  ensureDirectory gives the
+ * stores that write such files (the solve cache, the checkpoint
+ * store) one check of their directory before the first write.
  */
 
 #ifndef CACTID_UTIL_ATOMIC_FILE_HH
@@ -41,6 +43,16 @@ bool writeFileAtomic(const std::string &path,
 /** Read a whole file into @p out; false (with @p err) on failure. */
 bool readFile(const std::string &path, std::string &out,
               std::string *err = nullptr);
+
+/**
+ * Create directory @p dir if it is missing (its parent must exist),
+ * then check that it is a directory.
+ *
+ * @param what names @p dir in the error, e.g. "cache directory"
+ * @throws std::invalid_argument `<what> <dir> is not a directory`, or
+ *         `<what> <dir>: <reason>` when it cannot be created
+ */
+void ensureDirectory(const std::string &dir, const std::string &what);
 
 } // namespace cactid::util
 

@@ -4,19 +4,23 @@
  * text and bounded numbers parse from one table entry each; the first
  * usage error is one stderr line and exit 2; --help and --version exit
  * 0; usage() lists every entry; runGuarded maps exceptions to exit
- * codes.
+ * codes; the `--cache-dir` cache warns once, under the tool's name.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/config.hh"
+#include "core/fingerprint.hh"
+#include "core/solve_cache.hh"
 #include "tools/cli.hh"
+#include "util/atomic_file.hh"
 
 namespace {
 
@@ -30,7 +34,6 @@ struct Args {
     std::vector<std::string> inputs;
     int jobs = -1;
     std::uint64_t instr = 0;
-    std::string shard;
     std::string operand;
 };
 
@@ -45,13 +48,6 @@ commandLine(Args &a, bool operand = false)
                 {"--input", "FILE", "an input (repeatable)", &a.inputs},
                 {"--jobs", "N", "worker threads", &a.jobs},
                 {"--instr", "N", "instructions per thread", &a.instr, 1},
-                {"--shard", "I/N", "one shard",
-                 [&a](const char *v) -> std::string {
-                     a.shard = v;
-                     return a.shard.find('/') == std::string::npos
-                                ? "--shard needs I/N"
-                                : "";
-                 }},
             },
             "\nexit codes: 0 ok\n",
             operand ? &a.operand : nullptr};
@@ -98,14 +94,13 @@ TEST(CliWalker, ParsesEveryKindOfEntry)
     Args a;
     EXPECT_EQ(walk(a, {"--quiet", "--out", "r.md", "--input", "a.json",
                        "--jobs", "0", "--input", "b.json", "--instr",
-                       "18446744073709551615", "--shard", "1/2"}),
+                       "18446744073709551615"}),
               std::nullopt);
     EXPECT_TRUE(a.quiet);
     EXPECT_EQ(a.out, "r.md");
     EXPECT_EQ(a.inputs, (std::vector<std::string>{"a.json", "b.json"}));
     EXPECT_EQ(a.jobs, 0);
     EXPECT_EQ(a.instr, 18446744073709551615u);
-    EXPECT_EQ(a.shard, "1/2");
 }
 
 TEST(CliWalker, UsageErrorsAreOneLineAndExit2)
@@ -121,7 +116,6 @@ TEST(CliWalker, UsageErrorsAreOneLineAndExit2)
         {{"--out"}, "tool: --out needs a value\n"},
         {{"--bogus"}, "tool: unknown flag --bogus\n"},
         {{"stray"}, "tool: unknown flag stray\n"},
-        {{"--shard", "3"}, "tool: --shard needs I/N\n"},
         // Only the first error is printed, and the walk stops there.
         {{"--jobs", "-1", "--bogus", "--instr", "0"},
          "tool: --jobs needs an integer >= 0 (got -1)\n"},
@@ -231,6 +225,28 @@ TEST(CliGuard, MapsExceptionsToExitCodes)
               "tool: bad spec\n"
               "tool: no feasible solutions\n"
               "tool: internal error: boom\n");
+}
+
+TEST(CliCache, FirstWarningNamesTheTool)
+{
+    EXPECT_EQ(openSolveCache("tool", ""), nullptr);
+    const std::unique_ptr<SolveCache> cache =
+        openSolveCache("tool", testing::TempDir() + "cli_cache");
+    ASSERT_NE(cache, nullptr);
+    testing::internal::CaptureStderr();
+    // Two torn records, two rejections, one line.
+    for (const int kib : {64, 128}) {
+        MemoryConfig cfg;
+        cfg.capacityBytes = kib << 10;
+        const ConfigFingerprint fp = configFingerprint(cfg);
+        ASSERT_TRUE(util::writeFileAtomic(cache->recordPath(fp), "torn"));
+        SolveResult out;
+        EXPECT_FALSE(cache->lookup(fp, canonicalKey(cfg), out)) << kib;
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cache->counters().rejected, 2u);
+    EXPECT_EQ(err.rfind("tool: rejected cache record ", 0), 0u) << err;
+    EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
 }
 
 } // namespace

@@ -400,7 +400,6 @@ TEST_F(ResilienceTest, CheckpointRoundTripIsExact)
     CheckpointStore store(tempDir("ckpt_roundtrip"),
                           runner.fingerprint());
     std::string err;
-    ASSERT_TRUE(store.ensureDir(&err)) << err;
     ASSERT_TRUE(store.save(r, &err)) << err;
 
     RunResult back;
@@ -443,9 +442,10 @@ TEST_F(ResilienceTest, SweepFingerprintBytesArePinned)
 TEST(ResilienceFormat, EveryFieldRoundTrips)
 {
     const RunResult want = distinctRun();
-    const CheckpointStore store("unused", "fp-test");
+    const CheckpointStore store(::testing::TempDir() + "ckpt_format",
+                                "fp-test");
     const std::string bytes = store.encode(want);
-    EXPECT_EQ(bytes.rfind("cactid-ckpt-v2\n", 0), 0u);
+    EXPECT_EQ(bytes.rfind("cactid-ckpt-v3\n", 0), 0u);
     RunResult out;
     ASSERT_EQ(store.decode(bytes, out), CheckpointStore::Load::Loaded);
     expectSameRun(out, want);
@@ -454,7 +454,8 @@ TEST(ResilienceFormat, EveryFieldRoundTrips)
 
 TEST(ResilienceFormat, HostileRecordsAreInvalidNotFatal)
 {
-    const CheckpointStore store("unused", "fp-test");
+    const CheckpointStore store(::testing::TempDir() + "ckpt_format",
+                                "fp-test");
     const std::string good = store.encode(distinctRun());
     RunResult out;
     ASSERT_EQ(store.decode(good, out), CheckpointStore::Load::Loaded);
@@ -472,19 +473,24 @@ TEST(ResilienceFormat, HostileRecordsAreInvalidNotFatal)
              {"error.cycle", "error.cycle -1"},
              {"status", "status exploded"},
              {"key", "key 0000000000000000"},
+             // Written by a binary with another build stamp.
+             {"build", "build 0000000000000000"},
              {"stats", "stats 1 2 3"}}) {
         EXPECT_EQ(store.decode(editLine(good, key, line), out),
                   CheckpointStore::Load::Invalid)
             << line;
     }
-    // A v1 record (no sparse-directory counters) re-runs like any
-    // alien record.
-    std::string v1 = good;
-    v1.replace(0, std::string("cactid-ckpt-v2").size(), "cactid-ckpt-v1");
-    const std::string body = v1.substr(0, v1.rfind("crc "));
-    v1 = body + "crc " +
-         cactid::util::hex16(cactid::util::fnv1a64(body)) + "\n";
-    EXPECT_EQ(store.decode(v1, out), CheckpointStore::Load::Invalid);
+    // A v1 record (no sparse-directory counters) or a v2 one (no
+    // build stamp) re-runs like any alien record.
+    for (const char *old_header : {"cactid-ckpt-v1", "cactid-ckpt-v2"}) {
+        std::string old = good;
+        old.replace(0, std::string("cactid-ckpt-v3").size(), old_header);
+        const std::string body = old.substr(0, old.rfind("crc "));
+        old = body + "crc " +
+              cactid::util::hex16(cactid::util::fnv1a64(body)) + "\n";
+        EXPECT_EQ(store.decode(old, out), CheckpointStore::Load::Invalid)
+            << old_header;
+    }
 }
 
 TEST_F(ResilienceTest, CheckpointPersistsFailureRecords)
@@ -498,7 +504,6 @@ TEST_F(ResilienceTest, CheckpointPersistsFailureRecords)
 
     CheckpointStore store(tempDir("ckpt_failrec"), "fp-test");
     std::string err;
-    ASSERT_TRUE(store.ensureDir(&err)) << err;
     ASSERT_TRUE(store.save(r, &err)) << err;
 
     RunResult back;
@@ -547,7 +552,6 @@ TEST_F(ResilienceTest, CheckpointRejectsRecordsFromOtherSweeps)
 
     CheckpointStore store(dir, runner.fingerprint());
     std::string err;
-    ASSERT_TRUE(store.ensureDir(&err)) << err;
     ASSERT_TRUE(store.save(r, &err)) << err;
 
     // Same record bytes, read under a different sweep fingerprint:
@@ -558,11 +562,29 @@ TEST_F(ResilienceTest, CheckpointRejectsRecordsFromOtherSweeps)
               CheckpointStore::Load::Loaded);
 }
 
+TEST_F(ResilienceTest, CheckpointDirectoryMustBeUsable)
+{
+    // A directory that cannot hold records fails when the store is
+    // built, before any run, not as a write error after the sweep.
+    const std::string file = tempDir("ckpt_regular_file");
+    ASSERT_TRUE(cactid::util::writeFileAtomic(file, "not a directory"));
+    const std::string missing = tempDir("ckpt_no_parent") + "/ckpt";
+    for (const std::string &dir : {file, missing}) {
+        try {
+            CheckpointStore store(dir, "fp");
+            ADD_FAILURE() << dir << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            const std::string want = dir == file
+                                         ? " is not a directory"
+                                         : ": No such file or directory";
+            EXPECT_EQ(e.what(), "checkpoint directory " + dir + want);
+        }
+    }
+}
+
 TEST_F(ResilienceTest, CheckpointMissingRecordIsMissing)
 {
     CheckpointStore store(tempDir("ckpt_missing"), "fp");
-    std::string err;
-    ASSERT_TRUE(store.ensureDir(&err)) << err;
     RunResult out;
     EXPECT_EQ(store.load("nol3", "ft.B", out),
               CheckpointStore::Load::Missing);
@@ -711,8 +733,6 @@ TEST_F(ResilienceTest, ResumedSweepIsByteIdenticalToUninterrupted)
     {
         const StudyRunner probe(*study_, first);
         CheckpointStore store(dir, probe.fingerprint());
-        std::string err;
-        ASSERT_TRUE(store.ensureDir(&err)) << err;
         first.onRunComplete = [&store](std::size_t,
                                        const RunResult &r) {
             std::string save_err;
@@ -775,8 +795,6 @@ TEST_F(ResilienceTest, ResumedManyCoreRegistryMatchesUninterrupted)
     const std::string dir = tempDir("ckpt_manycore");
     const CheckpointStore store(
         dir, StudyRunner(*study_, options()).fingerprint());
-    std::string err;
-    ASSERT_TRUE(store.ensureDir(&err)) << err;
 
     RunnerOptions first = options();
     first.onRunComplete = [&store](std::size_t, const RunResult &r) {

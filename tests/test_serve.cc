@@ -1,15 +1,13 @@
 /**
  * @file
  * Tests for the cactid-serve request/response layer: JSONL parsing,
- * deterministic response rendering, per-request error isolation, the
- * shard assignment/merge identity, and the shard-mergeable counter
- * set.
+ * deterministic response rendering, per-request error isolation,
+ * responses and counters that do not depend on the jobs count, and
+ * the fixed counter set.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -168,49 +166,10 @@ TEST(Serve, BadRequestFailsAloneAmongGoodOnes)
               std::string::npos);
 }
 
-TEST(Serve, ShardUnionEqualsUnshardedRun)
+TEST(Serve, ResponsesAndCountersAreJobsIndependent)
 {
-    // Duplicates placed in-shard for a 2-way round-robin split.
-    const std::vector<std::string> lines = {
-        requestLine("a0", "64K", 4),  requestLine("b0", "128K", 8),
-        requestLine("a1", "64K", 4),  requestLine("b1", "128K", 8),
-        requestLine("c0", "256K", 4), requestLine("d0", "64K", 8),
-    };
-    const std::vector<std::string> unsharded =
-        serveRequests(lines, ServeOptions{});
-
-    std::map<std::size_t, std::string> merged;
-    ServeStats total;
-    for (int shard = 0; shard < 2; ++shard) {
-        ServeOptions opts;
-        opts.shardIndex = shard;
-        opts.shardCount = 2;
-        ServeStats stats;
-        for (const std::string &line :
-             serveRequests(lines, opts, &stats)) {
-            std::size_t index = 0;
-            ASSERT_TRUE(responseIndex(line, index));
-            merged[index] = line;
-        }
-        total.requests += stats.requests;
-        total.ok += stats.ok;
-        total.failed += stats.failed;
-    }
-    ASSERT_EQ(merged.size(), unsharded.size());
-    std::size_t i = 0;
-    for (const auto &[index, line] : merged) {
-        EXPECT_EQ(index, i);
-        EXPECT_EQ(line, unsharded[i]);
-        ++i;
-    }
-    EXPECT_EQ(total.requests, 6u);
-    EXPECT_EQ(total.ok, 6u);
-}
-
-TEST(Serve, InfeasibleRequestKeepsShardCountersMergeable)
-{
-    // Duplicates in-shard for a 2-way round-robin split, then one
-    // request of each memory type and one no organization can build.
+    // Duplicates, a weight-only variant, a malformed line, one request
+    // of each memory type and one no organization can build.
     std::vector<std::string> lines;
     for (int i = 0; i < 3; ++i) {
         lines.push_back(requestLine("a" + std::to_string(i), "64K", 4));
@@ -219,6 +178,9 @@ TEST(Serve, InfeasibleRequestKeepsShardCountersMergeable)
                         "\"block\": 64, \"associativity\": 8, \"type\": "
                         "\"cache\", \"technology\": \"lp-dram\"}}");
     }
+    lines.push_back(
+        requestLine("a-leak", "64K", 4, ", \"weight_leakage\": 3"));
+    lines.push_back("{\"id\": \"torn\", \"config\": {\"size\"");
     lines.push_back("{\"id\": \"ram\", \"config\": {\"size\": \"256K\", "
                     "\"block\": 64, \"type\": \"ram\", \"technology\": "
                     "\"sram\"}}");
@@ -230,68 +192,57 @@ TEST(Serve, InfeasibleRequestKeepsShardCountersMergeable)
                     "\"cache\", \"technology\": \"lp-dram\"}}");
     lines.push_back(requestLine("bad", "1K", 16, ", \"banks\": 8"));
 
-    auto serveWith = [&](int shard, int count, SolveCacheCounters &c,
-                         ServeStats &st) {
+    struct Pass {
+        std::vector<std::string> responses;
+        ServeStats stats;
+        SolveCacheCounters cache;
+    };
+    const auto serveAt = [&lines](int jobs) {
         SolveCache cache;
         ServeOptions opts;
+        opts.solver.jobs = jobs;
         opts.solver.cache = &cache;
-        opts.shardIndex = shard;
-        opts.shardCount = count;
-        std::vector<std::string> out = serveRequests(lines, opts, &st);
-        c = cache.counters();
-        return out;
+        Pass p;
+        p.responses = serveRequests(lines, opts, &p.stats);
+        p.cache = cache.counters();
+        return p;
     };
-    SolveCacheCounters whole;
-    ServeStats whole_stats;
-    const std::vector<std::string> unsharded =
-        serveWith(0, 1, whole, whole_stats);
-    ASSERT_EQ(unsharded.size(), 10u);
-    EXPECT_EQ(whole_stats.ok, 9u);
-    EXPECT_EQ(whole_stats.failed, 1u);
-    EXPECT_NE(unsharded[9].find("no feasible tag organization"),
+    const Pass serial = serveAt(1);
+    ASSERT_EQ(serial.responses.size(), 12u);
+    EXPECT_EQ(serial.stats.requests, 12u);
+    EXPECT_EQ(serial.stats.ok, 10u);
+    EXPECT_EQ(serial.stats.failed, 2u);
+    EXPECT_NE(serial.responses[7].find("malformed request JSON"),
               std::string::npos)
-        << unsharded[9];
+        << serial.responses[7];
+    EXPECT_NE(serial.responses[11].find("no feasible tag organization"),
+              std::string::npos)
+        << serial.responses[11];
+    // Seven distinct configs (the weight-only variant is one of them),
+    // each looked up once.
+    EXPECT_EQ(serial.cache.hits, 0u);
+    EXPECT_EQ(serial.cache.misses, 7u);
 
-    SolveCacheCounters sum;
-    std::map<std::size_t, std::string> merged;
-    for (int shard = 0; shard < 2; ++shard) {
-        SolveCacheCounters c;
-        ServeStats st;
-        for (const std::string &line : serveWith(shard, 2, c, st)) {
-            std::size_t index = 0;
-            ASSERT_TRUE(responseIndex(line, index));
-            merged[index] = line;
-        }
-        sum.hits += c.hits;
-        sum.misses += c.misses;
-        sum.evictions += c.evictions;
-        sum.rejected += c.rejected;
+    for (const int jobs : {2, 8}) {
+        const Pass p = serveAt(jobs);
+        EXPECT_EQ(p.responses, serial.responses) << "jobs=" << jobs;
+        EXPECT_EQ(p.stats.requests, serial.stats.requests);
+        EXPECT_EQ(p.stats.ok, serial.stats.ok);
+        EXPECT_EQ(p.stats.failed, serial.stats.failed);
+        EXPECT_EQ(p.cache.hits, serial.cache.hits);
+        EXPECT_EQ(p.cache.misses, serial.cache.misses);
+        EXPECT_EQ(p.cache.evictions, serial.cache.evictions);
+        EXPECT_EQ(p.cache.inserts, serial.cache.inserts);
+        EXPECT_EQ(p.cache.rejected, serial.cache.rejected);
+        EXPECT_EQ(p.cache.entries, serial.cache.entries);
+        EXPECT_EQ(p.cache.bytes, serial.cache.bytes);
     }
-    ASSERT_EQ(merged.size(), unsharded.size());
-    for (const auto &[index, line] : merged)
-        EXPECT_EQ(line, unsharded[index]);
-    // Six distinct configs, each looked up once either way.
-    EXPECT_EQ(whole.hits, 0u);
-    EXPECT_EQ(whole.misses, 6u);
-    EXPECT_EQ(sum.hits, whole.hits);
-    EXPECT_EQ(sum.misses, whole.misses);
-    EXPECT_EQ(sum.evictions, whole.evictions);
-    EXPECT_EQ(sum.rejected, whole.rejected);
-}
-
-TEST(Serve, ResponseIndexParsesOnlyResponses)
-{
-    std::size_t index = 123;
-    EXPECT_TRUE(responseIndex("{\"index\":17,\"id\":\"x\"}", index));
-    EXPECT_EQ(index, 17u);
-    EXPECT_FALSE(responseIndex("{\"id\":\"x\"}", index));
-    EXPECT_FALSE(responseIndex("", index));
 }
 
 TEST(ServeStatsRegistry, MergeableLabelSetIsFixed)
 {
     // With no cache installed, every name still appears (as zero) so
-    // shard registry merges never disagree on the label set.
+    // every dump has the same label set.
     obs::Registry r;
     ServeStats stats;
     stats.requests = 4;
@@ -307,8 +258,7 @@ TEST(ServeStatsRegistry, MergeableLabelSetIsFixed)
         EXPECT_EQ(r.counters().count(name), 1u) << name;
         EXPECT_EQ(r.counterValue(name), 0u) << name;
     }
-    // The process-local occupancy counters stay out of the mergeable
-    // set.
+    // The occupancy counters stay out of the serve set.
     EXPECT_EQ(r.counters().count("engine.cache.entries"), 0u);
     EXPECT_EQ(r.counters().count("engine.cache.bytes"), 0u);
 }

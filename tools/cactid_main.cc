@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -194,15 +195,11 @@ main(int argc, char **argv)
 
         // One process solves once (or one batch), so only records on
         // disk can ever hit: the cache exists only behind --cache-dir.
-        std::optional<cactid::SolveCache> cache;
-        if (!args.cacheDir.empty()) {
-            cactid::SolveCacheConfig cc;
-            cc.diskDir = args.cacheDir;
-            cache.emplace(std::move(cc));
-        }
+        const std::unique_ptr<cactid::SolveCache> cache =
+            cactid::tools::openSolveCache(kTool, args.cacheDir);
         cactid::SolverOptions opts;
         opts.jobs = args.jobs;
-        opts.cache = cache ? &*cache : nullptr;
+        opts.cache = cache.get();
 
         cactid::MemoryConfig cfg;
         if (args.configPath == "-") {

@@ -12,8 +12,9 @@
  * non-Ok (failed / timed out); 2 usage or configuration error,
  * including a flag value below its bound (`--jobs -1`,
  * `--threads-per-core -1`, `--cores -1`, `--instr 0`,
- * `--trace-capacity 0`) and an unusable `--cache-dir`; 3 internal
- * error (unexpected exception, failed output write).
+ * `--trace-capacity 0`) and an unusable `--cache-dir` or
+ * `--checkpoint` directory; 3 internal error (unexpected exception,
+ * failed output or checkpoint write).
  */
 
 #include <cstdio>
@@ -255,14 +256,10 @@ main(int argc, char **argv)
         checkCombinations(args);
         // The Study constructor runs the eight LLC solves as one
         // batch, so only records on disk can ever hit.
-        std::optional<cactid::SolveCache> cache;
-        if (!args.cacheDir.empty()) {
-            cactid::SolveCacheConfig cc;
-            cc.diskDir = args.cacheDir;
-            cache.emplace(std::move(cc));
-        }
+        const std::unique_ptr<cactid::SolveCache> cache =
+            cactid::tools::openSolveCache(kTool, args.cacheDir);
         cactid::SolverOptions solver;
-        solver.cache = cache ? &*cache : nullptr;
+        solver.cache = cache.get();
         const Study study(solver);
         if (args.table3)
             study.printTable3(std::cout);
@@ -323,12 +320,6 @@ main(int argc, char **argv)
             const StudyRunner probe(study, opts);
             store = std::make_unique<CheckpointStore>(
                 args.checkpointDir, probe.fingerprint());
-            std::string err;
-            if (!store->ensureDir(&err)) {
-                std::fprintf(stderr, "cactid-study: %s\n",
-                             err.c_str());
-                return 3;
-            }
             const FaultPlan plan = opts.faultPlan;
             CheckpointStore *st = store.get();
             opts.onRunComplete = [&, plan,

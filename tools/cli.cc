@@ -1,11 +1,13 @@
 /**
  * @file
- * Flag-table walker, usage text, output sink and exception guard.
+ * Flag-table walker, usage text, output sink, `--cache-dir` cache and
+ * exception guard.
  */
 
 #include "tools/cli.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include <utility>
 
 #include "core/config.hh"
+#include "core/solve_cache.hh"
 #include "obs/build_info.hh"
 #include "util/atomic_file.hh"
 #include "util/parse.hh"
@@ -30,9 +33,7 @@ apply(const Flag &f, const char *v)
     return std::visit(
         [&](auto &target) -> std::string {
             using T = std::decay_t<decltype(target)>;
-            if constexpr (std::is_same_v<T, Flag::Setter>)
-                return target(v);
-            else if constexpr (std::is_same_v<T, bool *>)
+            if constexpr (std::is_same_v<T, bool *>)
                 *target = true;
             else if constexpr (std::is_same_v<T, std::string *>)
                 *target = v;
@@ -135,6 +136,21 @@ withStream(const char *tool, const std::string &path,
         return false;
     }
     return true;
+}
+
+std::unique_ptr<SolveCache>
+openSolveCache(const char *tool, const std::string &dir)
+{
+    if (dir.empty())
+        return nullptr;
+    SolveCacheConfig cc;
+    cc.diskDir = dir;
+    cc.onWarn = [tool](const std::string &msg) {
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true))
+            std::fprintf(stderr, "%s: %s\n", tool, msg.c_str());
+    };
+    return std::make_unique<SolveCache>(std::move(cc));
 }
 
 int

@@ -2,7 +2,8 @@
  * @file
  * What every tool main shares: one flag table that drives argv
  * parsing, bounds and `--help`; one output sink for `--flag FILE|-`
- * options; and one mapping of escaping exceptions to exit codes.
+ * options; the solve cache behind `--cache-dir`; and one mapping of
+ * escaping exceptions to exit codes.
  */
 
 #ifndef CACTID_TOOLS_CLI_HH
@@ -10,11 +11,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <variant>
 #include <vector>
+
+namespace cactid {
+class SolveCache;
+}
 
 namespace cactid::tools {
 
@@ -23,10 +29,6 @@ namespace cactid::tools {
  * and usage() lists it from the same entry.
  */
 struct Flag {
-    /** An odd flag's parser: "" when @p value is taken, else the
-        problem. */
-    using Setter = std::function<std::string(const char *value)>;
-
     const char *name;  ///< e.g. "--jobs"
     const char *value; ///< "N", "FILE"...; nullptr for a switch
     const char *help;  ///< usage() wraps it into the help column
@@ -36,7 +38,7 @@ struct Flag {
      * decimal integer >= min.
      */
     std::variant<bool *, std::string *, std::vector<std::string> *, int *,
-                 std::uint64_t *, Setter>
+                 std::uint64_t *>
         target;
     long long min = 0;
 };
@@ -74,6 +76,17 @@ std::optional<int> parseCommandLine(const CommandLine &cl, int argc,
  */
 bool withStream(const char *tool, const std::string &path,
                 const std::function<void(std::ostream &)> &fn);
+
+/**
+ * The solve cache behind `--cache-dir @p dir`, or nullptr when @p dir
+ * is empty.  Its first warning of the process (a rejected record, a
+ * failed write) prints as `<tool>: <warning>`.
+ *
+ * @throws std::invalid_argument (one line) when @p dir is no usable
+ *         directory
+ */
+std::unique_ptr<SolveCache> openSolveCache(const char *tool,
+                                           const std::string &dir);
 
 /**
  * Run a tool's @p body and return its exit code, or 2 when a

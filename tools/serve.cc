@@ -6,7 +6,6 @@
 
 #include "tools/serve.hh"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "core/fingerprint.hh"
@@ -139,25 +138,17 @@ serveRequests(const std::vector<std::string> &lines,
 {
     ServeStats st;
 
-    // Assign requests to this shard by global stream index.
-    const int count = opts.shardCount < 1 ? 1 : opts.shardCount;
     std::vector<ServeRequest> reqs;
-    std::size_t index = 0;
     for (const std::string &line : lines) {
-        if (blankLine(line))
-            continue;
-        const std::size_t i = index++;
-        if (static_cast<int>(i % static_cast<std::size_t>(count)) !=
-            opts.shardIndex)
-            continue;
-        reqs.push_back(parseServeRequest(line, i));
+        if (!blankLine(line))
+            reqs.push_back(parseServeRequest(line, reqs.size()));
     }
     st.requests = reqs.size();
 
     // Batch every parseable request: duplicates solve once, weight-
     // only variants share one enumeration, and the configured cache
-    // memoizes across batches/processes.  A request that cannot be
-    // solved fails alone, with the error run() would give it.
+    // memoizes across runs.  A request that cannot be solved fails
+    // alone, with the error run() would give it.
     struct Outcome {
         bool ok = false;
         SolveResult res;
@@ -218,28 +209,12 @@ registerServeStats(obs::Registry &r, const ServeStats &s,
     r.counter("serve.requests") = s.requests;
     r.counter("serve.ok") = s.ok;
     r.counter("serve.failed") = s.failed;
-    // Only the topology-invariant cache counters: their shard-wise
-    // sum equals the unsharded value whenever duplicate requests land
-    // in-shard (the round-robin assignment makes that a property of
-    // the request stream, not of timing).
     const SolveCacheCounters c =
         cache ? cache->counters() : SolveCacheCounters{};
     r.counter("engine.cache.hits") = c.hits;
     r.counter("engine.cache.misses") = c.misses;
     r.counter("engine.cache.evictions") = c.evictions;
     r.counter("engine.cache.rejected") = c.rejected;
-}
-
-bool
-responseIndex(const std::string &line, std::size_t &out)
-{
-    static const char prefix[] = "{\"index\":";
-    if (line.compare(0, sizeof prefix - 1, prefix) != 0)
-        return false;
-    const char *begin = line.c_str() + sizeof prefix - 1;
-    char *end = nullptr;
-    out = std::strtoull(begin, &end, 10);
-    return end != begin;
 }
 
 } // namespace cactid::tools

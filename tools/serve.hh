@@ -24,17 +24,12 @@
  *    "explored": M}
  *   {"index": 3, "id": "bad", "status": "error", "message": "..."}
  *
- * Requests flow through SolverEngine::solveBatch, so duplicate
- * configs solve once and weight-only variants share one enumeration;
- * the SolveCache in ServeOptions::solver (the tool builds one behind
- * --cache-dir) memoizes across shard processes and runs via the
- * shared on-disk store.
- *
- * Sharding contract: a shard serves the requests whose stream index i
- * satisfies i % shardCount == shardIndex, and emits responses that
- * carry their global index — so the parent's index-ordered merge of N
- * shard outputs is byte-identical to an unsharded run over the same
- * stream.
+ * Requests flow through one SolverEngine::solveBatch on
+ * ServeOptions::solver's jobs, so duplicate configs solve once,
+ * weight-only variants share one enumeration, and the responses are
+ * the same bytes for any jobs; the SolveCache in ServeOptions::solver
+ * (the tool builds one behind --cache-dir) memoizes across runs via
+ * its on-disk store.
  */
 
 #ifndef CACTID_TOOLS_SERVE_HH
@@ -58,7 +53,7 @@ namespace cactid::tools {
 
 /** One parsed request line. */
 struct ServeRequest {
-    std::size_t index = 0; ///< global index in the request stream
+    std::size_t index = 0; ///< index in the request stream
     std::string id;        ///< client id, echoed back ("" if absent)
     MemoryConfig cfg;
     bool ok = false;    ///< parse success
@@ -76,47 +71,36 @@ ServeRequest parseServeRequest(const std::string &line,
 /** How to execute a request stream. */
 struct ServeOptions {
     SolverOptions solver; ///< jobs / cache for the engine
-    int shardIndex = 0;
-    int shardCount = 1; ///< serve request i iff i % count == index
 };
 
-/** What one serve pass did (additive across shards). */
+/** What one serve pass did. */
 struct ServeStats {
-    std::size_t requests = 0; ///< requests assigned to this shard
+    std::size_t requests = 0; ///< non-blank request lines
     std::size_t ok = 0;
     std::size_t failed = 0; ///< parse errors + infeasible solves
 };
 
 /**
  * Serve the non-empty lines of a request stream and return one
- * response line (no trailing newline) per assigned request, in
- * request order.  Solves go through one SolverEngine::solveBatch,
- * which reports errors per request, so one bad config only fails its
- * own response.
+ * response line (no trailing newline) per request, in request order.
+ * Solves go through one SolverEngine::solveBatch, which reports
+ * errors per request, so one bad config only fails its own response.
  */
 std::vector<std::string>
 serveRequests(const std::vector<std::string> &lines,
               const ServeOptions &opts, ServeStats *stats = nullptr);
 
 /**
- * Publish the shard-mergeable serve counters: serve.requests /
- * serve.ok / serve.failed plus the topology-invariant solve-cache
- * counters (engine.cache.hits / misses / evictions / rejected).
- * Every name is always written — zeros when the cache is disabled or
- * unhit — so shard dumps always agree on the label set and their
- * merge equals the unsharded dump whenever duplicate requests land
- * in-shard.  The occupancy and disk-split counters (entries, bytes,
- * disk_hits, disk_writes, inserts) are process-local and deliberately
- * NOT here; single-process tools get them via registerSolveCacheStats.
+ * Publish the serve counters: serve.requests / serve.ok /
+ * serve.failed plus four solve-cache counters (engine.cache.hits /
+ * misses / evictions / rejected).  Every name is always written —
+ * zeros when the cache is disabled or unhit — so every dump has the
+ * same label set.  The occupancy and disk-split counters (entries,
+ * bytes, disk_hits, disk_writes, inserts) are not in that set;
+ * `cactid` publishes them via registerSolveCacheStats.
  */
 void registerServeStats(obs::Registry &r, const ServeStats &s,
                         const SolveCache *cache);
-
-/**
- * Extract the "index" field of a response line (the parent's shard
- * merge key).  Returns false on a line that is not a serve response.
- */
-bool responseIndex(const std::string &line, std::size_t &out);
 
 } // namespace cactid::tools
 
